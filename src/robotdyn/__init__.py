@@ -14,7 +14,7 @@ from .kinematics import IKResult, Pose, forward_kinematics, inverse_kinematics, 
     link_jacobian
 from .learn import ParamStore, TrajectoryDataset, TrainReport, fit, generate_dataset, \
     inverse_dynamics_loss, make_learnable
-from .spatial import ForceVector, Mat33, MotionVector, Rot3, SpatialInertia, \
+from .spatial import ForceVector, Mat33, MotionVector, SpatialInertia, \
     SpatialTransform, Vec3
 from .urdf import RobotModel, UrdfError, ValidationError, build_model, load_model, \
     parse_urdf, validate

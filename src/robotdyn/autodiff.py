@@ -7,6 +7,10 @@ Two scalar flavours are provided:
 * ``Var`` -- reverse mode; every operation appends a node to a ``Tape`` and
   a single backward sweep yields the gradient of a scalar output.
 
+Each operation is defined once for both: it computes its value and local
+partials and hands them to ``_new(value, op, parents)``, which records a tape
+node (``Var``) or applies the chain rule to the operands' partials (``Dual``).
+
 All kinematics/dynamics code in this package is written against ordinary
 arithmetic operators plus the module-level functions ``sin``, ``cos``,
 ``sqrt`` etc., so it runs unchanged on floats, numpy arrays (elementwise
@@ -33,20 +37,19 @@ class NonFiniteError(ArithmeticError):
 # value-channel primitives (float -> math.*, ndarray -> np.*), non-throwing
 # ---------------------------------------------------------------------------
 
-def _is_num(x):
-    return isinstance(x, (int, float, np.floating))
+_REAL = (int, float, np.floating)
 
 
 def _sin(x):
-    return math.sin(x) if _is_num(x) else np.sin(x)
+    return math.sin(x) if isinstance(x, _REAL) else np.sin(x)
 
 
 def _cos(x):
-    return math.cos(x) if _is_num(x) else np.cos(x)
+    return math.cos(x) if isinstance(x, _REAL) else np.cos(x)
 
 
 def _exp(x):
-    if _is_num(x):
+    if isinstance(x, _REAL):
         try:
             return math.exp(x)
         except OverflowError:
@@ -56,7 +59,7 @@ def _exp(x):
 
 
 def _log(x):
-    if _is_num(x):
+    if isinstance(x, _REAL):
         if x > 0.0:
             return math.log(x)
         return -math.inf if x == 0.0 else math.nan
@@ -65,14 +68,14 @@ def _log(x):
 
 
 def _sqrt(x):
-    if _is_num(x):
+    if isinstance(x, _REAL):
         return math.sqrt(x) if x >= 0.0 else math.nan
     with np.errstate(invalid="ignore"):
         return np.sqrt(x)
 
 
 def _acos(x):
-    if _is_num(x):
+    if isinstance(x, _REAL):
         return math.acos(x) if -1.0 <= x <= 1.0 else math.nan
     with np.errstate(invalid="ignore"):
         return np.arccos(x)
@@ -80,7 +83,7 @@ def _acos(x):
 
 def _div(a, b):
     # division by zero propagates inf/nan instead of raising
-    if _is_num(a) and _is_num(b):
+    if isinstance(a, _REAL) and isinstance(b, _REAL):
         if b != 0.0:
             return a / b
         if a == 0.0:
@@ -90,21 +93,91 @@ def _div(a, b):
         return np.divide(a, b)
 
 
-def _where(c, a, b):
-    if isinstance(c, np.ndarray) or isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.where(c, a, b)
-    return a if c else b
-
-
 def value(x):
     """Value channel of any supported scalar."""
-    if isinstance(x, (Var, Dual)):
+    if isinstance(x, _Scalar):
         return x.value
     return x
 
 
 def _all_finite(v):
     return bool(np.all(np.isfinite(v)))
+
+
+# ---------------------------------------------------------------------------
+# operators shared by both flavours
+# ---------------------------------------------------------------------------
+
+class _Scalar:
+    """Operators of both flavours.  ``parents`` pairs each differentiable
+    operand with the local partial of the result with respect to it; plain
+    numbers contribute no pair.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None  # force numpy to defer to our reflected operators
+
+    def __add__(self, other):
+        if isinstance(other, _Scalar):
+            return self._new(self.value + other.value, "add", ((self, 1.0), (other, 1.0)))
+        return self._new(self.value + other, "add", ((self, 1.0),))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _Scalar):
+            return self._new(self.value - other.value, "sub", ((self, 1.0), (other, -1.0)))
+        return self._new(self.value - other, "sub", ((self, 1.0),))
+
+    def __rsub__(self, other):
+        return self._new(other - self.value, "rsub", ((self, -1.0),))
+
+    def __mul__(self, other):
+        if isinstance(other, _Scalar):
+            return self._new(self.value * other.value, "mul",
+                             ((self, other.value), (other, self.value)))
+        return self._new(self.value * other, "mul", ((self, other),))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Scalar):
+            inv = _div(1.0, other.value)
+            q = self.value * inv
+            return self._new(q, "div", ((self, inv), (other, -q * inv)))
+        inv = _div(1.0, other)
+        return self._new(self.value * inv, "div", ((self, inv),))
+
+    def __rtruediv__(self, other):
+        inv = _div(1.0, self.value)
+        q = other * inv
+        return self._new(q, "rdiv", ((self, -q * inv),))
+
+    def __neg__(self):
+        return self._new(-self.value, "neg", ((self, -1.0),))
+
+    def __pow__(self, p):
+        if not isinstance(p, _REAL):
+            raise TypeError(f"{type(self).__name__} ** exponent must be a plain number")
+        v = self.value ** p
+        return self._new(v, "pow", ((self, p * self.value ** (p - 1.0)),))
+
+    def __abs__(self):
+        s = np.sign(self.value) if isinstance(self.value, np.ndarray) else float(np.sign(self.value))
+        return self._new(abs(self.value), "abs", ((self, s),))
+
+    # -- comparisons read the value channel only ----------------------------
+    def __lt__(self, other):
+        return self.value < value(other)
+
+    def __le__(self, other):
+        return self.value <= value(other)
+
+    def __gt__(self, other):
+        return self.value > value(other)
+
+    def __ge__(self, other):
+        return self.value >= value(other)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +198,7 @@ class Tape:
         return v
 
 
-class Var:
+class Var(_Scalar):
     """Reverse-mode scalar: a node on a ``Tape``.
 
     ``value`` may be a float or a numpy array (an elementwise batch);
@@ -134,7 +207,6 @@ class Var:
     """
 
     __slots__ = ("tape", "value", "op", "parents", "adj")
-    __array_ufunc__ = None  # force numpy to defer to our reflected operators
 
     def __init__(self, tape, val, op, parents):
         self.tape = tape
@@ -145,69 +217,6 @@ class Var:
 
     def _new(self, val, op, parents):
         return self.tape.var(val, op, parents)
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, Var):
-            return self._new(self.value + other.value, "add", ((self, 1.0), (other, 1.0)))
-        return self._new(self.value + other, "add", ((self, 1.0),))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Var):
-            return self._new(self.value - other.value, "sub", ((self, 1.0), (other, -1.0)))
-        return self._new(self.value - other, "sub", ((self, 1.0),))
-
-    def __rsub__(self, other):
-        return self._new(other - self.value, "rsub", ((self, -1.0),))
-
-    def __mul__(self, other):
-        if isinstance(other, Var):
-            return self._new(self.value * other.value, "mul",
-                             ((self, other.value), (other, self.value)))
-        return self._new(self.value * other, "mul", ((self, other),))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Var):
-            inv = _div(1.0, other.value)
-            q = self.value * inv
-            return self._new(q, "div", ((self, inv), (other, -q * inv)))
-        inv = _div(1.0, other)
-        return self._new(self.value * inv, "div", ((self, inv),))
-
-    def __rtruediv__(self, other):
-        inv = _div(1.0, self.value)
-        q = other * inv
-        return self._new(q, "rdiv", ((self, -q * inv),))
-
-    def __neg__(self):
-        return self._new(-self.value, "neg", ((self, -1.0),))
-
-    def __pow__(self, p):
-        if not _is_num(p):
-            raise TypeError("Var ** exponent must be a plain number")
-        v = self.value ** p
-        return self._new(v, "pow", ((self, p * self.value ** (p - 1.0)),))
-
-    def __abs__(self):
-        s = np.sign(self.value) if isinstance(self.value, np.ndarray) else float(np.sign(self.value))
-        return self._new(abs(self.value), "abs", ((self, s),))
-
-    # -- comparisons read the value channel only ----------------------------
-    def __lt__(self, other):
-        return self.value < value(other)
-
-    def __le__(self, other):
-        return self.value <= value(other)
-
-    def __gt__(self, other):
-        return self.value > value(other)
-
-    def __ge__(self, other):
-        return self.value >= value(other)
 
     def __repr__(self):
         return f"Var({self.value!r}, op={self.op})"
@@ -258,11 +267,10 @@ def gradient(f, x):
 # forward mode
 # ---------------------------------------------------------------------------
 
-class Dual:
+class Dual(_Scalar):
     """Forward-mode scalar with a fixed-width tuple of partial derivatives."""
 
     __slots__ = ("value", "partials")
-    __array_ufunc__ = None
 
     def __init__(self, val, partials):
         self.value = val
@@ -275,151 +283,62 @@ class Dual:
         return [Dual(float(v), tuple(1.0 if j == i else 0.0 for j in range(n)))
                 for i, v in enumerate(values)]
 
-    def _lift(self, other):
-        if isinstance(other, Dual):
-            return other
-        return Dual(other, (0.0,) * len(self.partials))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Dual(self.value + o.value, tuple(a + b for a, b in zip(self.partials, o.partials)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return Dual(self.value - o.value, tuple(a - b for a, b in zip(self.partials, o.partials)))
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return o.__sub__(self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Dual(self.value * o.value,
-                    tuple(a * o.value + self.value * b for a, b in zip(self.partials, o.partials)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        inv = _div(1.0, o.value)
-        q = self.value * inv
-        return Dual(q, tuple((a - q * b) * inv for a, b in zip(self.partials, o.partials)))
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o.__truediv__(self)
-
-    def __neg__(self):
-        return Dual(-self.value, tuple(-a for a in self.partials))
-
-    def __pow__(self, p):
-        if not _is_num(p):
-            raise TypeError("Dual ** exponent must be a plain number")
-        d = p * self.value ** (p - 1.0)
-        return Dual(self.value ** p, tuple(d * a for a in self.partials))
-
-    def __abs__(self):
-        s = float(np.sign(self.value))
-        return Dual(abs(self.value), tuple(s * a for a in self.partials))
-
-    def __lt__(self, other):
-        return self.value < value(other)
-
-    def __le__(self, other):
-        return self.value <= value(other)
-
-    def __gt__(self, other):
-        return self.value > value(other)
-
-    def __ge__(self, other):
-        return self.value >= value(other)
+    def _new(self, val, op, parents):
+        # chain rule: d result = sum over operands of local partial * d operand
+        (x, dx), *rest = parents
+        if rest:
+            (y, dy), = rest
+            partials = [dx * a + dy * b for a, b in zip(x.partials, y.partials)]
+        else:
+            partials = [dx * a for a in x.partials]
+        if not isinstance(val, np.ndarray):
+            # un-broadcast onto a scalar result, as the backward sweep does
+            partials = [float(s.sum()) if isinstance(s, np.ndarray) else s for s in partials]
+        return Dual(val, tuple(partials))
 
     def __repr__(self):
         return f"Dual({self.value!r}, {self.partials!r})"
 
 
 # ---------------------------------------------------------------------------
-# elementary functions, dispatched on scalar flavour
+# elementary functions: one (f, df(x, f(x))) pair each, for every flavour
 # ---------------------------------------------------------------------------
 
-def sin(x):
-    if isinstance(x, Var):
-        return x._new(_sin(x.value), "sin", ((x, _cos(x.value)),))
-    if isinstance(x, Dual):
-        d = _cos(x.value)
-        return Dual(_sin(x.value), tuple(d * a for a in x.partials))
-    return _sin(x)
+def _elementary(name, f, df):
+    def fn(x):
+        if isinstance(x, _Scalar):
+            fx = f(x.value)
+            return x._new(fx, name, ((x, df(x.value, fx)),))
+        return f(x)
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def cos(x):
-    if isinstance(x, Var):
-        return x._new(_cos(x.value), "cos", ((x, -_sin(x.value)),))
-    if isinstance(x, Dual):
-        d = -_sin(x.value)
-        return Dual(_cos(x.value), tuple(d * a for a in x.partials))
-    return _cos(x)
+_ELEMENTARY = (
+    ("sin", _sin, lambda x, fx: _cos(x)),
+    ("cos", _cos, lambda x, fx: -_sin(x)),
+    ("exp", _exp, lambda x, fx: fx),
+    ("log", _log, lambda x, fx: _div(1.0, x)),
+    ("sqrt", _sqrt, lambda x, fx: _div(0.5, fx)),
+    ("acos", _acos, lambda x, fx: -_div(1.0, _sqrt(1.0 - x * x))),
+)
 
-
-def exp(x):
-    if isinstance(x, Var):
-        e = _exp(x.value)
-        return x._new(e, "exp", ((x, e),))
-    if isinstance(x, Dual):
-        e = _exp(x.value)
-        return Dual(e, tuple(e * a for a in x.partials))
-    return _exp(x)
-
-
-def log(x):
-    if isinstance(x, Var):
-        return x._new(_log(x.value), "log", ((x, _div(1.0, x.value)),))
-    if isinstance(x, Dual):
-        d = _div(1.0, x.value)
-        return Dual(_log(x.value), tuple(d * a for a in x.partials))
-    return _log(x)
-
-
-def sqrt(x):
-    if isinstance(x, Var):
-        r = _sqrt(x.value)
-        return x._new(r, "sqrt", ((x, _div(0.5, r)),))
-    if isinstance(x, Dual):
-        r = _sqrt(x.value)
-        d = _div(0.5, r)
-        return Dual(r, tuple(d * a for a in x.partials))
-    return _sqrt(x)
-
-
-def acos(x):
-    if isinstance(x, Var):
-        d = -_div(1.0, _sqrt(1.0 - x.value * x.value))
-        return x._new(_acos(x.value), "acos", ((x, d),))
-    if isinstance(x, Dual):
-        d = -_div(1.0, _sqrt(1.0 - x.value * x.value))
-        return Dual(_acos(x.value), tuple(d * a for a in x.partials))
-    return _acos(x)
+sin, cos, exp, log, sqrt, acos = (_elementary(*row) for row in _ELEMENTARY)
 
 
 def where(cond, a, b):
-    """Branch on a plain boolean (or boolean array) value; differentiable in a, b."""
-    if isinstance(a, Var) or isinstance(b, Var):
-        v = a if isinstance(a, Var) else b
-        va, vb = value(a), value(b)
-        parents = []
-        if isinstance(a, Var):
-            parents.append((a, _where(cond, 1.0, 0.0)))
-        if isinstance(b, Var):
-            parents.append((b, _where(cond, 0.0, 1.0)))
-        return v._new(_where(cond, va, vb), "where", tuple(parents))
-    if isinstance(a, Dual) or isinstance(b, Dual):
-        d = a if isinstance(a, Dual) else b
-        da = a.partials if isinstance(a, Dual) else (0.0,) * len(d.partials)
-        db = b.partials if isinstance(b, Dual) else (0.0,) * len(d.partials)
-        return Dual(_where(cond, value(a), value(b)),
-                    tuple(_where(cond, pa, pb) for pa, pb in zip(da, db)))
-    return _where(cond, a, b)
+    """Branch on a boolean (or boolean array) value; differentiable in a, b.
+
+    A plain boolean returns the taken branch itself, so the untaken branch
+    never reaches the derivative (its partials may be inf, e.g. sqrt at 0).
+    """
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    take = np.where(cond, 1.0, 0.0)
+    parents = tuple((x, d) for x, d in ((a, take), (b, 1.0 - take)) if isinstance(x, _Scalar))
+    val = np.where(cond, value(a), value(b))
+    return parents[0][0]._new(val, "where", parents) if parents else val
 
 
 def maximum(a, b):
@@ -432,10 +351,10 @@ def minimum(a, b):
 
 def asum(x):
     """Sum of an elementwise batch; reduces an array-valued node to a scalar."""
-    if isinstance(x, Var):
-        return x._new(float(np.sum(x.value)), "sum", ((x, 1.0),))
-    if isinstance(x, Dual):
-        return Dual(float(np.sum(x.value)), tuple(np.sum(p) for p in x.partials))
+    if isinstance(x, _Scalar):
+        # an array of ones, so a scalar operand broadcast into x sums its share
+        d = np.ones_like(x.value) if isinstance(x.value, np.ndarray) else 1.0
+        return x._new(float(np.sum(x.value)), "sum", ((x, d),))
     return float(np.sum(x))
 
 

@@ -264,7 +264,7 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _parse_learn_spec(spec, model):
+def _parse_learn_spec(spec):
     entries = []
     for part in spec.split(","):
         fields = part.split(":")
@@ -288,7 +288,7 @@ def cmd_sysid(args):
     if ds.dof != model.n:
         raise CliError(f"dataset has {ds.dof} DoF, model has {model.n}")
     store = learn_mod.ParamStore(model)
-    for link, field, kind in _parse_learn_spec(args.learn, model):
+    for link, field, kind in _parse_learn_spec(args.learn):
         try:
             store.make_learnable(link, field, kind)
         except (KeyError, ValueError) as e:
@@ -301,9 +301,9 @@ def cmd_sysid(args):
         raise CliError(str(e), code=EXIT_RUNTIME)
     payload = {"loss_curve": report.losses, "final_loss": report.final_loss,
                "final_params": report.final_params, "iterations": report.iterations,
-               "converged": report.converged}
+               "converged": report.converged, "stop_reason": report.stop_reason}
     lines = [f"epochs: {report.iterations}", f"final loss: {report.final_loss:.6g}",
-             f"converged: {report.converged}"]
+             f"converged: {report.converged} ({report.stop_reason})"]
     lines += [f"  {k} = {v}" for k, v in report.final_params.items()]
     _emit(args, payload, lines)
     return EXIT_OK

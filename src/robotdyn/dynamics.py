@@ -167,7 +167,8 @@ def mass_matrix(model, q, inertias=None):
     """Joint-space mass matrix via the composite-rigid-body recursion.
 
     Symmetric by construction (one triangle computed, both filled).
-    Returns an n x n numpy array for float inputs, else a nested list.
+    Returns an n x n nested list for every scalar type; ``np.asarray(M)``
+    gives the matrix of a float result.
     """
     n = model.n
     _check_len("q", q, n)
@@ -200,8 +201,6 @@ def mass_matrix(model, q, inertias=None):
                 m_ij = _subspace(anc).dot(F)
                 M[j][anc.dof] = m_ij
                 M[anc.dof][j] = m_ij
-    if all(isinstance(M[i][j], (int, float)) for i in range(n) for j in range(n)):
-        return np.array(M, dtype=float)
     return M
 
 
@@ -310,8 +309,6 @@ def forward_dynamics_cholesky(model, q, qd, tau, gravity=None, inertias=None):
     n = model.n
     _check_len("tau", tau, n)
     M = mass_matrix(model, q, inertias=inertias)
-    if isinstance(M, np.ndarray):
-        M = M.tolist()
     h = bias_force(model, q, qd, gravity=gravity, inertias=inertias)
     rhs = [tau[i] - h[i] for i in range(n)]
     return _cholesky_solve(M, rhs, n)

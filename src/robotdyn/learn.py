@@ -124,33 +124,14 @@ class SpdMatrix3:
         return self.map([float(ad.value(r)) for r in raw]).values()
 
 
-class FixedParam:
-    """Placeholder that keeps a field pinned at its URDF value."""
-
-    size = 0
-
-    def init_raw(self, current):
-        return []
-
-    def map(self, raw):
-        return None
-
-    def physical(self, raw):
-        return None
-
-
 PARAM_KINDS = {
     "positive_scalar": PositiveScalar,
     "free_vector3": FreeVector3,
     "spd_matrix3": SpdMatrix3,
-    "fixed": FixedParam,
 }
 
-_FIELD_KINDS = {
-    "mass": ("positive_scalar", "fixed"),
-    "com": ("free_vector3", "fixed"),
-    "rot_inertia": ("spd_matrix3", "fixed"),
-}
+_FIELD_KINDS = {"mass": "positive_scalar", "com": "free_vector3",
+                "rot_inertia": "spd_matrix3"}
 
 
 @dataclass
@@ -185,15 +166,13 @@ class ParamStore:
             if e.body == idx and e.field == field:
                 raise ValueError(f"{link}.{field} is already learnable")
         if kind is None:
-            kind = _FIELD_KINDS[field][0]
+            kind = _FIELD_KINDS[field]
         if kind not in PARAM_KINDS:
             raise ValueError(f"unknown parametrization kind '{kind}'")
-        if kind not in _FIELD_KINDS[field]:
+        if kind != _FIELD_KINDS[field]:
             raise ValueError(f"kind '{kind}' cannot parametrize field '{field}'")
         param = PARAM_KINDS[kind]()
-        current = getattr(body.inertia, {"mass": "mass", "com": "com",
-                                         "rot_inertia": "rot_inertia"}[field])
-        raw0 = param.init_raw(current)
+        raw0 = param.init_raw(getattr(body.inertia, field))
         self.entries.append(_Entry(idx, field, param, len(self.raw)))
         self.raw = np.concatenate([self.raw, np.asarray(raw0, dtype=float)])
         return self
@@ -214,10 +193,7 @@ class ParamStore:
         touched = {}
         for e in self.entries:
             chunk = list(raw[e.offset:e.offset + e.param.size])
-            mapped = e.param.map(chunk)
-            if mapped is None:
-                continue
-            touched.setdefault(e.body, {})[e.field] = mapped
+            touched.setdefault(e.body, {})[e.field] = e.param.map(chunk)
         for body, fields in touched.items():
             base = self._base_inertias[body]
             mass = fields.get("mass", base.mass)
@@ -362,7 +338,8 @@ class TrainReport:
     final_loss: float
     final_params: dict
     iterations: int
-    converged: bool
+    converged: bool    # the loss fell below ``tol``
+    stop_reason: str   # "tol", "plateau" or "max_epochs"
 
 
 def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
@@ -371,9 +348,12 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     """Gradient-descent identification loop over the store's raw vector.
 
     ``optimizer`` is "gd" (plain descent) or "adam" (per-coordinate adaptive
-    with momentum).  Stops when the loss drops below ``tol`` or its relative
-    improvement stays under ``rel_tol`` for ``patience`` epochs.  Divergence
-    (loss above 1e12 or non-finite) raises with the epoch index.
+    with momentum).  Stops when the loss drops below ``tol`` (stop reason
+    "tol", the only one reported as converged), when halving the learning
+    rate after every ``patience`` epochs without a relative improvement of
+    ``rel_tol`` has shrunk it ~1e-9x ("plateau"), or after ``epochs``
+    ("max_epochs").  Divergence (loss above 1e12 or non-finite) raises with
+    the epoch index.
     """
     if store.size == 0:
         raise ValueError("no learnable parameters registered")
@@ -386,7 +366,7 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     rng = np.random.default_rng(seed)
 
     losses = []
-    converged = False
+    stop_reason = "max_epochs"
     epoch = 0
     best_loss = math.inf
     best_raw = raw.copy()
@@ -423,14 +403,14 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
         else:
             since_best += 1
         if loss < tol:
-            converged = True
+            stop_reason = "tol"
             break
         if since_best >= patience:
             # plateau: restart from the best point with a halved step; give up
             # once the step has shrunk ~1e-9x without further improvement
             cur_lr *= 0.5
             if cur_lr < learning_rate * 1e-9:
-                converged = True
+                stop_reason = "plateau"
                 break
             raw = best_raw.copy()
             m[:] = 0.0
@@ -444,4 +424,4 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     store.raw = raw
     return TrainReport(losses=losses, final_loss=losses[-1],
                        final_params=store.physical_values(), iterations=epoch,
-                       converged=converged)
+                       converged=stop_reason == "tol", stop_reason=stop_reason)

@@ -6,7 +6,7 @@ Conventions used throughout the package:
   for force vectors, following Featherstone.
 * ``SpatialTransform`` stores the pose of a child frame expressed in its
   parent frame (rotation = child axes in parent coordinates, translation =
-  child origin in parent coordinates).  ``xform_motion``/``xform_force``
+  child origin in parent coordinates).  ``apply_motion``/``apply_force``
   map quantities expressed in the child frame to the parent frame; the
   ``*_inv`` variants map the other way.
 * Rotational inertia is referenced to the body-frame origin, not the
@@ -172,10 +172,6 @@ class Mat33:
 
     def __repr__(self):
         return f"Mat33({self.rows()})"
-
-
-# Rot3 is a Mat33 constrained (by construction) to be orthonormal with det +1.
-Rot3 = Mat33
 
 
 def rot_x(t):
@@ -365,22 +361,6 @@ def xform_from_rpy_xyz(rpy, xyz):
     return SpatialTransform(R, xyz)
 
 
-def xform_compose(outer, inner):
-    return outer.compose(inner)
-
-
-def xform_inverse(X):
-    return X.inverse()
-
-
-def xform_motion(X, v):
-    return X.apply_motion(v)
-
-
-def xform_force(X, f):
-    return X.apply_force(f)
-
-
 def cross_motion(v, m):
     """Spatial cross product of two motion vectors."""
     return MotionVector(v.ang.cross(m.ang),
@@ -391,11 +371,3 @@ def cross_force(v, f):
     """Spatial cross product of a motion vector with a force vector."""
     return ForceVector(v.ang.cross(f.ang) + v.lin.cross(f.lin),
                        v.ang.cross(f.lin))
-
-
-def inertia_times_motion(I, v):
-    return I.times_motion(v)
-
-
-def inertia_transform(X, I):
-    return I.transform(X)

@@ -169,7 +169,8 @@ def parse_urdf(xml_text):
             norm = math.sqrt(sum(a * a for a in axis))
             if norm < 1e-12:
                 raise UrdfError(f"joint '{name}': zero-length axis")
-            axis = tuple(a / norm for a in axis)
+            if all(map(math.isfinite, axis)):  # validate reports a non-finite one
+                axis = tuple(a / norm for a in axis)
         joint = UrdfJoint(name=name, type=jtype,
                           parent=parent_el.get("link"), child=child_el.get("link"),
                           origin_xyz=xyz, origin_rpy=rpy, axis=axis,
@@ -187,9 +188,36 @@ def parse_urdf(xml_text):
     return desc
 
 
+def _nonfinite_values(desc):
+    """NaN anywhere, or +-inf anywhere but a joint limit (where it means unbounded)."""
+    diags = []
+
+    def check(owner, what, values, inf_ok=False):
+        bad = [v for v in values
+               if v is not None and (math.isnan(v) or (math.isinf(v) and not inf_ok))]
+        if bad:
+            diags.append(Diagnostic("error", "nonfinite_value",
+                                    f"{owner}: {what} value {bad[0]} is not finite"))
+
+    for link in desc.links:
+        inertial = link.inertial
+        if inertial is not None:
+            owner = f"link '{link.name}'"
+            check(owner, "mass", (inertial.mass,))
+            check(owner, "inertia", inertial.inertia)
+            check(owner, "inertial origin", inertial.origin_xyz + inertial.origin_rpy)
+    for j in desc.joints:
+        owner = f"joint '{j.name}'"
+        check(owner, "origin", j.origin_xyz + j.origin_rpy)
+        check(owner, "axis", j.axis)
+        check(owner, "limit", (j.limit_lower, j.limit_upper, j.limit_effort,
+                               j.limit_velocity), inf_ok=True)
+    return diags
+
+
 def validate(desc):
     """Structural diagnostics for a RobotDescription (errors and warnings)."""
-    diags = []
+    diags = _nonfinite_values(desc)
     link_names = [l.name for l in desc.links]
     link_set = set(link_names)
     children = {}
@@ -240,7 +268,7 @@ def validate(desc):
         if link.inertial is None and link.name in movable_children:
             diags.append(Diagnostic("warning", "missing_inertial",
                                     f"link '{link.name}' is moved by a joint but has no inertial"))
-        if link.inertial is not None:
+        if link.inertial is not None and all(map(math.isfinite, link.inertial.inertia)):
             ixx, ixy, ixz, iyy, iyz, izz = link.inertial.inertia
             eig = np.linalg.eigvalsh(np.array([[ixx, ixy, ixz],
                                                [ixy, iyy, iyz],

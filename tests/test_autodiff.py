@@ -160,17 +160,70 @@ def test_jacobian_fwd_constant_row_is_zero():
     np.testing.assert_allclose(J, [[3, 2], [0, 0]])
 
 
+BATCH = np.array([0.5, -1.5, 2.0, -0.25])
+
+# One scalar function of (x, y, z) per operation; points are drawn from
+# [-1, 1]^3, and each function keeps its operation inside its domain there.
+AGREEMENT_CASES = {
+    "composite": lambda x, y, z: x * ad.sin(y) + ad.exp(z * x) / (1.0 + y * y),
+    "add": lambda x, y, z: x + y,
+    "add_const": lambda x, y, z: x + 2.5,
+    "radd": lambda x, y, z: 2.5 + x,
+    "sub": lambda x, y, z: x - y,
+    "sub_const": lambda x, y, z: x - 2.5,
+    "rsub": lambda x, y, z: 2.5 - x,
+    "mul": lambda x, y, z: x * y,
+    "mul_const": lambda x, y, z: x * 2.5,
+    "rmul": lambda x, y, z: 2.5 * x,
+    "div": lambda x, y, z: x / (y + 3.0),
+    "div_const": lambda x, y, z: x / 3.0,
+    "rdiv": lambda x, y, z: 3.0 / (x + 2.0),
+    "neg": lambda x, y, z: -(x * y),
+    "pow": lambda x, y, z: (x + 2.0) ** 2.5,
+    "abs": lambda x, y, z: abs(x) * y,
+    "sin": lambda x, y, z: ad.sin(x * y),
+    "cos": lambda x, y, z: ad.cos(x * y),
+    "exp": lambda x, y, z: ad.exp(x * y),
+    "log": lambda x, y, z: ad.log(x + 2.0 * y * y + 1.5),
+    "sqrt": lambda x, y, z: ad.sqrt(x + y * y + 1.5),
+    "acos": lambda x, y, z: ad.acos(0.5 * x * y),
+    "maximum": lambda x, y, z: ad.maximum(x, y) * z,
+    "minimum": lambda x, y, z: ad.minimum(x, y) * z,
+    "where_array": lambda x, y, z: ad.asum(
+        ad.where(BATCH * ad.value(x) > ad.value(y), x * BATCH, y * y * BATCH)),
+    "maximum_batch": lambda x, y, z: ad.asum(ad.maximum(x * BATCH, y * BATCH) * z),
+    "minimum_batch": lambda x, y, z: ad.asum(ad.minimum(x * BATCH, y) * z),
+    "asum_batch": lambda x, y, z: ad.asum(ad.sin(x * BATCH) * y + z),
+    "amean_batch": lambda x, y, z: ad.amean(ad.exp(BATCH * x) * y * z),
+}
+
+
 def test_forward_reverse_agreement_random():
+    # every operator, elementary function and reduction agrees between the
+    # two modes and with central finite differences
     rng = np.random.default_rng(0)
+    for name, op in AGREEMENT_CASES.items():
+        f = lambda xs: op(*xs)
+        for _ in range(10):
+            x0 = list(rng.uniform(-1, 1, size=3))
+            g_rev = ad.gradient(f, x0)
+            g_fwd = ad.jacobian_fwd(lambda xs: [f(xs)], x0)[0]
+            np.testing.assert_allclose(g_rev, g_fwd, rtol=1e-12, atol=1e-14,
+                                       err_msg=name)
+            assert ad.check_gradient(f, x0) < 1e-6, name
 
-    def f(xs):
-        return xs[0] * ad.sin(xs[1]) + ad.exp(xs[2] * xs[0]) / (1.0 + xs[1] * xs[1])
 
-    for _ in range(10):
-        x0 = list(rng.uniform(-1, 1, size=3))
-        g_rev = ad.gradient(f, x0)
-        g_fwd = ad.jacobian_fwd(lambda xs: [f(xs)], x0)[0]
-        np.testing.assert_allclose(g_rev, g_fwd, rtol=1e-12, atol=1e-14)
+def test_where_at_sqrt_zero_differentiates_taken_branch_in_both_modes():
+    # the untaken sqrt branch has an infinite partial at 0; it must not leak
+    f = lambda xs: ad.where(xs[0] > 0.0, ad.sqrt(xs[0]), 0.0 * xs[0])
+    assert ad.gradient(f, [0.0]).tolist() == [0.0]
+    assert ad.jacobian_fwd(lambda xs: [f(xs)], [0.0]).tolist() == [[0.0]]
+
+
+def test_where_on_plain_condition_returns_taken_branch():
+    x = ad.Tape().var(2.0)
+    assert ad.where(True, x, 1.0) is x
+    assert ad.where(False, x, 1.0) == 1.0
 
 
 def test_fk_jacobian_fwd_matches_finite_difference(two_link):

@@ -57,6 +57,16 @@ def test_info_cycle_fixture_exits_2(capsys):
     assert "cycle" in err
 
 
+def test_info_nonfinite_mass_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan_mass.urdf"
+    text = open(fx("pendulum")).read()
+    assert '<mass value="1.0"/>' in text
+    path.write_text(text.replace('<mass value="1.0"/>', '<mass value="nan"/>'))
+    code, _, err = run_cli(capsys, "info", str(path))
+    assert code == 2
+    assert "nonfinite_value" in err
+
+
 def test_info_double_root_exits_2(capsys):
     code, _, err = run_cli(capsys, "info", fx("bad_double_root"))
     assert code == 2
@@ -245,6 +255,19 @@ def test_sysid_recovers_mass(capsys, tmp_path):
     np.testing.assert_allclose(doc["final_params"]["bob.mass"], 1.0,
                                rtol=0.01)
     assert doc["final_loss"] < 1e-8
+
+
+def test_sysid_reports_stop_reason(capsys, tmp_path):
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "50", "--out", str(data))
+    argv = ("sysid", fx("pendulum_mass2"), "--data", str(data),
+            "--learn", "bob:mass", "--epochs", "3")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["stop_reason"] == "max_epochs" and doc["converged"] is False
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "converged: False (max_epochs)" in out
 
 
 def test_sysid_missing_link_exits_2(capsys, tmp_path):

@@ -346,6 +346,28 @@ def test_fit_loss_curve_is_recorded(pendulum, pendulum_mass2):
     assert min(report.losses) == report.final_loss
 
 
+def test_fit_stop_reason_tells_converged_from_gave_up(pendulum, pendulum_mass2):
+    # noisy torques: the loss floors near the noise variance, far above tol,
+    # so the learning-rate decay gives up on a plateau without converging
+    noisy = generate_dataset(pendulum, 200, seed=0, noise_std=0.5)
+    store = make_learnable(pendulum_mass2, "bob", "mass")
+    report = fit(store, noisy, patience=3, tol=1e-10)
+    assert report.stop_reason == "plateau"
+    assert report.converged is False
+    assert report.final_loss > 0.1
+
+    clean = generate_dataset(pendulum, 200, seed=9)
+    store = make_learnable(pendulum_mass2, "bob", "mass")
+    report = fit(store, clean, learning_rate=0.05, tol=1e-10)
+    assert report.stop_reason == "tol" and report.converged is True
+    assert report.final_loss < 1e-10
+
+    store = make_learnable(pendulum_mass2, "bob", "mass")
+    report = fit(store, clean, learning_rate=0.05, epochs=3)
+    assert report.stop_reason == "max_epochs" and report.converged is False
+    assert report.iterations == 3
+
+
 def test_fit_rejects_empty_store(pendulum):
     ds = generate_dataset(pendulum, 10, seed=14)
     with pytest.raises(ValueError):

@@ -18,18 +18,12 @@ from robotdyn.spatial import (
     Vec3,
     cross_force,
     cross_motion,
-    inertia_times_motion,
-    inertia_transform,
     parallel_axis_term,
     rot_axis_angle,
     rot_x,
     rot_y,
     rot_z,
-    xform_compose,
-    xform_force,
     xform_from_rpy_xyz,
-    xform_inverse,
-    xform_motion,
 )
 
 HALF_PI = 0.5 * np.pi
@@ -148,7 +142,7 @@ def test_compose_identity_cases():
     rng = np.random.default_rng(1)
     X = random_transform(rng)
     E = SpatialTransform.identity()
-    for Y in (xform_compose(X, E), xform_compose(E, X)):
+    for Y in (X.compose(E), E.compose(X)):
         np.testing.assert_allclose(Y.rot.values(), X.rot.values(), atol=1e-15)
         np.testing.assert_allclose(Y.trans.values(), X.trans.values(),
                                    atol=1e-15)
@@ -157,7 +151,7 @@ def test_compose_identity_cases():
 def test_compose_with_inverse_is_identity():
     rng = np.random.default_rng(2)
     X = random_transform(rng)
-    Y = xform_compose(X, xform_inverse(X))
+    Y = X.compose(X.inverse())
     np.testing.assert_allclose(Y.rot.values(), Mat33.identity().values(),
                                atol=1e-12)
     np.testing.assert_allclose(Y.trans.values(), [0, 0, 0], atol=1e-12)
@@ -166,8 +160,8 @@ def test_compose_with_inverse_is_identity():
 def test_compose_is_associative():
     rng = np.random.default_rng(3)
     A, B, C = (random_transform(rng) for _ in range(3))
-    left = xform_compose(xform_compose(A, B), C)
-    right = xform_compose(A, xform_compose(B, C))
+    left = A.compose(B).compose(C)
+    right = A.compose(B.compose(C))
     np.testing.assert_allclose(left.rot.values(), right.rot.values(),
                                atol=1e-13)
     np.testing.assert_allclose(left.trans.values(), right.trans.values(),
@@ -176,7 +170,7 @@ def test_compose_is_associative():
 
 def test_inverse_of_pure_translation():
     X = SpatialTransform(Mat33.identity(), v3(1, 0, 0))
-    Xi = xform_inverse(X)
+    Xi = X.inverse()
     np.testing.assert_allclose(Xi.trans.values(), [-1, 0, 0], atol=1e-15)
 
 
@@ -184,7 +178,7 @@ def test_inverse_roundtrip_random():
     rng = np.random.default_rng(4)
     for _ in range(5):
         X = random_transform(rng)
-        Y = xform_compose(X, xform_inverse(X))
+        Y = X.compose(X.inverse())
         np.testing.assert_allclose(Y.rot.values(), Mat33.identity().values(),
                                    atol=1e-12)
 
@@ -196,14 +190,14 @@ def test_inverse_roundtrip_random():
 def test_xform_motion_identity():
     rng = np.random.default_rng(5)
     v = random_motion(rng)
-    w = xform_motion(SpatialTransform.identity(), v)
+    w = SpatialTransform.identity().apply_motion(v)
     np.testing.assert_allclose(w.tolist(), v.tolist(), atol=1e-15)
 
 
 def test_xform_motion_pure_rotation():
     X = SpatialTransform(rot_z(HALF_PI), Vec3.zero())
     v = MotionVector(v3(1, 0, 0), Vec3.zero())
-    w = xform_motion(X, v)
+    w = X.apply_motion(v)
     np.testing.assert_allclose(w.ang.values(), [0, 1, 0], atol=1e-15)
     np.testing.assert_allclose(w.lin.values(), [0, 0, 0], atol=1e-15)
 
@@ -213,7 +207,7 @@ def test_xform_motion_pure_translation():
     p = v3(1, 2, 3)
     X = SpatialTransform(Mat33.identity(), p)
     v = MotionVector(v3(0.4, -0.2, 0.9), v3(1, 1, 1))
-    w = xform_motion(X, v)
+    w = X.apply_motion(v)
     expect = v.lin + p.cross(v.ang)
     np.testing.assert_allclose(w.ang.values(), v.ang.values(), atol=1e-15)
     np.testing.assert_allclose(w.lin.values(), expect.values(), atol=1e-15)
@@ -224,7 +218,7 @@ def test_xform_motion_matches_6x6_oracle():
     for _ in range(10):
         X = random_transform(rng)
         v = random_motion(rng)
-        got = np.array(xform_motion(X, v).tolist())
+        got = np.array(X.apply_motion(v).tolist())
         want = motion_matrix(X) @ np.array(v.tolist())
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -232,10 +226,10 @@ def test_xform_motion_matches_6x6_oracle():
 def test_xform_force_identity_and_rotation():
     rng = np.random.default_rng(7)
     f = random_force(rng)
-    g = xform_force(SpatialTransform.identity(), f)
+    g = SpatialTransform.identity().apply_force(f)
     np.testing.assert_allclose(g.tolist(), f.tolist(), atol=1e-15)
     X = SpatialTransform(rot_y(0.37), Vec3.zero())
-    g = xform_force(X, f)
+    g = X.apply_force(f)
     np.testing.assert_allclose(g.ang.values(), X.rot.matvec(f.ang).values(),
                                atol=1e-15)
     np.testing.assert_allclose(g.lin.values(), X.rot.matvec(f.lin).values(),
@@ -247,7 +241,7 @@ def test_xform_force_pure_translation():
     p = v3(1, 2, 3)
     X = SpatialTransform(Mat33.identity(), p)
     f = ForceVector(v3(0.3, 0.1, -0.5), v3(2, -1, 0.5))
-    g = xform_force(X, f)
+    g = X.apply_force(f)
     expect = f.ang + p.cross(f.lin)
     np.testing.assert_allclose(g.ang.values(), expect.values(), atol=1e-15)
     np.testing.assert_allclose(g.lin.values(), f.lin.values(), atol=1e-15)
@@ -258,7 +252,7 @@ def test_xform_force_matches_6x6_oracle():
     for _ in range(10):
         X = random_transform(rng)
         f = random_force(rng)
-        got = np.array(xform_force(X, f).tolist())
+        got = np.array(X.apply_force(f).tolist())
         want = force_matrix(X) @ np.array(f.tolist())
         np.testing.assert_allclose(got, want, atol=1e-13)
 
@@ -276,7 +270,7 @@ def test_power_pairing_is_invariant():
         X = random_transform(rng)
         v, f = random_motion(rng), random_force(rng)
         before = v.dot(f)
-        after = xform_motion(X, v).dot(xform_force(X, f))
+        after = X.apply_motion(v).dot(X.apply_force(f))
         np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12)
 
 
@@ -343,14 +337,14 @@ def test_cross_force_is_negative_transpose_of_cross_motion():
 
 def test_inertia_point_mass_linear_momentum():
     I = SpatialInertia(2.0, Vec3.zero(), Mat33.zero())
-    f = inertia_times_motion(I, MotionVector(Vec3.zero(), v3(1, 0, 0)))
+    f = I.times_motion(MotionVector(Vec3.zero(), v3(1, 0, 0)))
     np.testing.assert_allclose(f.ang.values(), [0, 0, 0], atol=1e-15)
     np.testing.assert_allclose(f.lin.values(), [2, 0, 0], atol=1e-15)
 
 
 def test_inertia_diagonal_angular_momentum():
     I = SpatialInertia(1.0, Vec3.zero(), Mat33.diag(1.0, 2.0, 3.0))
-    f = inertia_times_motion(I, MotionVector(v3(0, 0, 1), Vec3.zero()))
+    f = I.times_motion(MotionVector(v3(0, 0, 1), Vec3.zero()))
     np.testing.assert_allclose(f.ang.values(), [0, 0, 3], atol=1e-15)
     np.testing.assert_allclose(f.lin.values(), [0, 0, 0], atol=1e-15)
 
@@ -358,7 +352,7 @@ def test_inertia_diagonal_angular_momentum():
 def test_inertia_zero_motion():
     rng = np.random.default_rng(16)
     I = random_inertia(rng)
-    f = inertia_times_motion(I, MotionVector.zero())
+    f = I.times_motion(MotionVector.zero())
     np.testing.assert_allclose(f.tolist(), [0] * 6, atol=1e-15)
 
 
@@ -367,7 +361,7 @@ def test_inertia_times_motion_matches_6x6_oracle():
     for _ in range(10):
         I = random_inertia(rng)
         v = random_motion(rng)
-        got = np.array(inertia_times_motion(I, v).tolist())
+        got = np.array(I.times_motion(v).tolist())
         want = inertia_matrix(I) @ np.array(v.tolist())
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -375,7 +369,7 @@ def test_inertia_times_motion_matches_6x6_oracle():
 def test_inertia_transform_identity():
     rng = np.random.default_rng(18)
     I = random_inertia(rng)
-    J = inertia_transform(SpatialTransform.identity(), I)
+    J = I.transform(SpatialTransform.identity())
     np.testing.assert_allclose(J.mass, I.mass)
     np.testing.assert_allclose(J.com.values(), I.com.values(), atol=1e-15)
     np.testing.assert_allclose(J.rot_inertia.values(),
@@ -387,7 +381,7 @@ def test_inertia_transform_pure_translation_of_point_mass():
     p = v3(1, 2, 3)
     X = SpatialTransform(Mat33.identity(), p)
     I = SpatialInertia(2.0, Vec3.zero(), Mat33.zero())
-    J = inertia_transform(X, I)
+    J = I.transform(X)
     np.testing.assert_allclose(J.com.values(), p.values(), atol=1e-15)
     np.testing.assert_allclose(J.rot_inertia.values(),
                                parallel_axis_term(2.0, p).values(), atol=1e-13)
@@ -397,7 +391,7 @@ def test_inertia_transform_roundtrip():
     rng = np.random.default_rng(19)
     I = random_inertia(rng)
     X = random_transform(rng)
-    J = inertia_transform(xform_inverse(X), inertia_transform(X, I))
+    J = I.transform(X).transform(X.inverse())
     np.testing.assert_allclose(J.mass, I.mass, rtol=1e-12)
     np.testing.assert_allclose(J.com.values(), I.com.values(), atol=1e-12)
     np.testing.assert_allclose(J.rot_inertia.values(),
@@ -410,7 +404,7 @@ def test_inertia_transform_congruence_oracle():
     for _ in range(5):
         I = random_inertia(rng)
         X = random_transform(rng)
-        J = inertia_transform(X, I)
+        J = I.transform(X)
         want = force_matrix(X) @ inertia_matrix(I) @ np.linalg.inv(
             motion_matrix(X))
         np.testing.assert_allclose(inertia_matrix(J), want, atol=1e-11)
@@ -423,7 +417,7 @@ def test_kinetic_energy_is_frame_invariant():
         v = random_motion(rng)
         X = random_transform(rng)
         e1 = I.kinetic_energy(v)
-        e2 = inertia_transform(X, I).kinetic_energy(xform_motion(X, v))
+        e2 = I.transform(X).kinetic_energy(X.apply_motion(v))
         np.testing.assert_allclose(e2, e1, rtol=1e-11, atol=1e-12)
 
 

@@ -211,6 +211,40 @@ def test_validate_dynamics_tag_warning():
     assert any(d.code == "joint_dynamics_ignored" for d in diags)
 
 
+NONFINITE_CASES = {
+    "mass_nan": ('<mass value="1.0"/>', '<mass value="nan"/>'),
+    "mass_inf": ('<mass value="1.0"/>', '<mass value="inf"/>'),
+    "inertia_nan": ('ixx="0"', 'ixx="nan"'),
+    "inertia_inf": ('izz="0"', 'izz="-inf"'),
+    "inertial_origin_nan": ('<origin xyz="1 0 0"/>', '<origin xyz="1 nan 0"/>'),
+    "joint_origin_nan": ('<child link="arm"/>',
+                         '<child link="arm"/><origin xyz="0 0 nan"/>'),
+    "joint_rpy_inf": ('<child link="arm"/>',
+                      '<child link="arm"/><origin rpy="inf 0 0"/>'),
+    "axis_nan": ('<axis xyz="0 0 1"/>', '<axis xyz="0 nan 1"/>'),
+    "axis_inf": ('<axis xyz="0 0 1"/>', '<axis xyz="0 0 inf"/>'),
+    "limit_nan": ('lower="-1"', 'lower="nan"'),
+    "effort_nan": ('effort="10"', 'effort="nan"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_CASES))
+def test_validate_rejects_nonfinite_numbers(case):
+    old, new = NONFINITE_CASES[case]
+    assert old in MINIMAL
+    desc = parse_urdf(MINIMAL.replace(old, new))
+    errors = [d for d in validate(desc) if d.code == "nonfinite_value"]
+    assert len(errors) == 1 and errors[0].level == "error"
+    with pytest.raises(ValidationError, match="nonfinite_value"):
+        build_model(desc)
+
+
+def test_validate_allows_infinite_limits():
+    xml = MINIMAL.replace('lower="-1" upper="1"', 'lower="-inf" upper="inf"')
+    diags = validate(parse_urdf(xml))
+    assert [d for d in diags if d.level == "error"] == []
+
+
 def test_diagnostic_str_includes_level_and_code():
     d = Diagnostic("error", "cycle", "boom")
     assert str(d) == "error[cycle]: boom"
