@@ -242,9 +242,11 @@ def cmd_ik(args):
     except KeyError as e:
         raise CliError(str(e))
     payload = {"q": [float(x) for x in res.q], "converged": res.converged,
-               "residual": float(res.residual), "iterations": res.iterations}
+               "residual": float(res.residual), "iterations": res.iterations,
+               "restarts": res.restarts, "backtracks": res.backtracks}
     _emit(args, payload, [f"q: {payload['q']}", f"converged: {res.converged}",
-                          f"residual: {res.residual:g}"])
+                          f"residual: {res.residual:g}",
+                          f"restarts: {res.restarts}, backtracks: {res.backtracks}"])
     return EXIT_OK
 
 
@@ -285,8 +287,8 @@ def cmd_sysid(args):
         raise CliError(f"cannot read {args.data}: {e}")
     except ValueError as e:
         raise CliError(str(e))
-    if ds.dof != model.n:
-        raise CliError(f"dataset has {ds.dof} DoF, model has {model.n}")
+    if ds.n_joints != model.n:
+        raise CliError(f"dataset has {ds.n_joints} DoF, model has {model.n}")
     store = learn_mod.ParamStore(model)
     for link, field, kind in _parse_learn_spec(args.learn):
         try:

@@ -43,6 +43,7 @@ def _as_gravity(gravity):
 def _require_dynamics(model, inertias):
     if model.kinematics_only:
         raise DynamicsError("dynamics unavailable: model was built kinematics_only")
+    _check_len("inertias", inertias, model.n)
     for body, I in zip(model.bodies, inertias):
         if I is None:
             raise DynamicsError(f"dynamics unavailable: link '{body.name}' has no inertia")
@@ -77,33 +78,26 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
     _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
-    nb = len(model.bodies)
-    v = [None] * nb
-    a = [None] * nb
-    f = [None] * nb
+    v = [None] * n
+    a = [None] * n
+    f = [None] * n
     a_base = MotionVector(Vec3.zero(), -g)
 
     for i, body in enumerate(model.bodies):
         X = xs[i]
         vp = v[body.parent] if body.parent >= 0 else MotionVector.zero()
         ap = a[body.parent] if body.parent >= 0 else a_base
-        if body.dof is None:
-            v[i] = X.apply_motion_inv(vp)
-            a[i] = X.apply_motion_inv(ap)
-        else:
-            S = _subspace(body)
-            vj = S.scale(qd[body.dof])
-            v[i] = X.apply_motion_inv(vp) + vj
-            a[i] = X.apply_motion_inv(ap) + S.scale(qdd[body.dof]) \
-                + cross_motion(v[i], vj)
+        S = _subspace(body)
+        vj = S.scale(qd[i])
+        v[i] = X.apply_motion_inv(vp) + vj
+        a[i] = X.apply_motion_inv(ap) + S.scale(qdd[i]) + cross_motion(v[i], vj)
         I = inertias[i]
         f[i] = I.times_motion(a[i]) + cross_force(v[i], I.times_motion(v[i]))
 
     tau = [None] * n
-    for i in range(nb - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         body = model.bodies[i]
-        if body.dof is not None:
-            tau[body.dof] = _subspace(body).dot(f[i])
+        tau[i] = _subspace(body).dot(f[i])
         if body.parent >= 0:
             f[body.parent] = f[body.parent] + xs[i].apply_force(f[i])
     return tau
@@ -177,30 +171,22 @@ def mass_matrix(model, q, inertias=None):
     _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
-    nb = len(model.bodies)
     Ic = [_ArticulatedInertia.from_rigid(I) for I in inertias]
-    for i in range(nb - 1, 0, -1):
+    for i in range(n - 1, 0, -1):
         p = model.bodies[i].parent
         if p >= 0:
             Ic[p] = Ic[p] + Ic[i].transform(xs[i])
 
     M = [[0.0] * n for _ in range(n)]
     for i, body in enumerate(model.bodies):
-        if body.dof is None:
-            continue
-        j = body.dof
         S = _subspace(body)
         F = Ic[i].apply(S)
-        M[j][j] = S.dot(F)
+        M[i][i] = S.dot(F)
         k = i
         while model.bodies[k].parent >= 0:
             F = xs[k].apply_force(F)
             k = model.bodies[k].parent
-            anc = model.bodies[k]
-            if anc.dof is not None:
-                m_ij = _subspace(anc).dot(F)
-                M[j][anc.dof] = m_ij
-                M[anc.dof][j] = m_ij
+            M[i][k] = M[k][i] = _subspace(model.bodies[k]).dot(F)
     return M
 
 
@@ -216,61 +202,49 @@ def aba(model, q, qd, tau, gravity=None, inertias=None):
     _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
-    nb = len(model.bodies)
-    v = [None] * nb
-    c = [None] * nb
-    IA = [None] * nb
-    pA = [None] * nb
+    v = [None] * n
+    c = [None] * n
+    IA = [None] * n
+    pA = [None] * n
 
     for i, body in enumerate(model.bodies):
-        X = xs[i]
         vp = v[body.parent] if body.parent >= 0 else MotionVector.zero()
-        if body.dof is None:
-            v[i] = X.apply_motion_inv(vp)
-            c[i] = MotionVector.zero()
-        else:
-            vj = _subspace(body).scale(qd[body.dof])
-            v[i] = X.apply_motion_inv(vp) + vj
-            c[i] = cross_motion(v[i], vj)
+        vj = _subspace(body).scale(qd[i])
+        v[i] = xs[i].apply_motion_inv(vp) + vj
+        c[i] = cross_motion(v[i], vj)
         IA[i] = _ArticulatedInertia.from_rigid(inertias[i])
         pA[i] = cross_force(v[i], inertias[i].times_motion(v[i]))
 
-    U = [None] * nb
-    dinv = [None] * nb
-    u = [None] * nb
-    for i in range(nb - 1, -1, -1):
+    U = [None] * n
+    dinv = [None] * n
+    u = [None] * n
+    for i in range(n - 1, -1, -1):
         body = model.bodies[i]
-        if body.dof is not None:
-            S = _subspace(body)
-            U[i] = IA[i].apply(S)
-            d = S.dot(U[i])
-            if ad.value(d) <= 1e-12:
-                raise DynamicsError(
-                    f"singular articulated projection at joint '{body.joint_name}' "
-                    f"(axis inertia {ad.value(d):.3g}); check link inertias")
-            dinv[i] = 1.0 / d
-            u[i] = tau[body.dof] - S.dot(pA[i])
+        S = _subspace(body)
+        U[i] = IA[i].apply(S)
+        d = S.dot(U[i])
+        A, D = IA[i].A, IA[i].D  # a valid d is at most trace(A) + trace(D)
+        size = sum(ad.value(x) for x in (A.a, A.e, A.i, D.a, D.e, D.i))
+        if ad.value(d) <= 1e-12 * size:
+            raise DynamicsError(
+                f"singular articulated projection at joint '{body.joint_name}' "
+                f"(axis inertia {ad.value(d):.3g}); check link inertias")
+        dinv[i] = 1.0 / d
+        u[i] = tau[i] - S.dot(pA[i])
         if body.parent >= 0:
-            if body.dof is not None:
-                Ia = IA[i].minus_rank1(U[i], dinv[i])
-                pa = pA[i] + Ia.apply(c[i]) + U[i].scale(dinv[i] * u[i])
-            else:
-                Ia = IA[i]
-                pa = pA[i] + Ia.apply(c[i])
+            Ia = IA[i].minus_rank1(U[i], dinv[i])
+            pa = pA[i] + Ia.apply(c[i]) + U[i].scale(dinv[i] * u[i])
             IA[body.parent] = IA[body.parent] + Ia.transform(xs[i])
             pA[body.parent] = pA[body.parent] + xs[i].apply_force(pa)
 
-    a = [None] * nb
+    a = [None] * n
     qdd = [None] * n
     a_base = MotionVector(Vec3.zero(), -g)
     for i, body in enumerate(model.bodies):
         ap = a[body.parent] if body.parent >= 0 else a_base
         ai = xs[i].apply_motion_inv(ap) + c[i]
-        if body.dof is not None:
-            qdd_i = dinv[i] * (u[i] - ai.dot(U[i]))
-            qdd[body.dof] = qdd_i
-            ai = ai + _subspace(body).scale(qdd_i)
-        a[i] = ai
+        qdd[i] = dinv[i] * (u[i] - ai.dot(U[i]))
+        a[i] = ai + _subspace(body).scale(qdd[i])
     return qdd
 
 
@@ -315,8 +289,10 @@ def forward_dynamics_cholesky(model, q, qd, tau, gravity=None, inertias=None):
 
 
 def potential_energy(model, q, gravity=None, inertias=None):
-    """-sum_i m_i g . com_world_i (zero reference at the base origin)."""
+    """-sum_i m_i g . com_world_i over the moving bodies (zero reference at
+    the base origin; mass fixed to the base is a constant and left out)."""
     from .kinematics import world_transforms
+    _check_len("q", q, model.n)
     g = _as_gravity(gravity)
     if inertias is None:
         inertias = model.inertias()
@@ -330,6 +306,7 @@ def potential_energy(model, q, gravity=None, inertias=None):
 
 def total_energy(model, q, qd, gravity=None, inertias=None):
     """Kinetic plus gravitational potential energy of the whole tree."""
+    _check_len("qd", qd, model.n)
     M = mass_matrix(model, q, inertias=inertias)
     qd = np.asarray(qd, dtype=float)
     kin = 0.5 * float(qd @ np.asarray(M) @ qd)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,34 +24,27 @@ class Pose:
         return f"Pose({self.rotation}, {self.position})"
 
 
+@dataclass
 class IKResult:
-    __slots__ = ("q", "converged", "residual", "iterations")
-
-    def __init__(self, q, converged, residual, iterations):
-        self.q = q
-        self.converged = converged
-        self.residual = residual
-        self.iterations = iterations
+    q: np.ndarray
+    converged: bool
+    residual: float
+    iterations: int
+    restarts: int      # random-restart rounds
+    backtracks: int    # step halvings, summed over both line searches
 
 
 def joint_transform(body, qj):
     """Pose of the child frame in the joint (post-origin) frame at coordinate qj."""
-    if body.joint_type in ("revolute", "continuous"):
-        return SpatialTransform(rot_axis_angle(body.axis, qj), Vec3.zero())
     if body.joint_type == "prismatic":
         return SpatialTransform(Mat33.identity(), body.axis.scale(qj))
-    return SpatialTransform.identity()
+    return SpatialTransform(rot_axis_angle(body.axis, qj), Vec3.zero())
 
 
 def local_transforms(model, q):
     """Per-body pose of the body frame in its parent frame (origin then joint)."""
-    xs = []
-    for body in model.bodies:
-        if body.dof is None:
-            xs.append(body.origin)
-        else:
-            xs.append(body.origin.compose(joint_transform(body, q[body.dof])))
-    return xs
+    return [body.origin.compose(joint_transform(body, q[i]))
+            for i, body in enumerate(model.bodies)]
 
 
 def world_transforms(model, q):
@@ -65,12 +59,18 @@ def world_transforms(model, q):
     return world
 
 
+def link_transform(world, link):
+    """Pose of a ``Link`` frame in the base frame, given the body world poses."""
+    X = world[link.body] if link.body >= 0 else SpatialTransform.identity()
+    return X if link.offset is None else X.compose(link.offset)
+
+
 def forward_kinematics(model, q):
     """Pose of every link frame in the base frame, keyed by link name."""
     _check_q(model, q)
     world = world_transforms(model, q)
-    return {body.name: Pose(X.rot, X.trans)
-            for body, X in zip(model.bodies, world)}
+    xs = [link_transform(world, link) for link in model.links]
+    return {link.name: Pose(X.rot, X.trans) for link, X in zip(model.links, xs)}
 
 
 def link_jacobian(model, q, link):
@@ -78,21 +78,20 @@ def link_jacobian(model, q, link):
     base-frame coordinates, reference point at the link frame origin.
     """
     _check_q(model, q)
-    idx = model.body_index(link)
+    frame = model.link(link)
     world = world_transforms(model, q)
-    p_link = world[idx].trans
+    p_link = link_transform(world, frame).trans
     J = np.zeros((6, model.n))
-    i = idx
+    i = frame.body
     while i >= 0:
         body = model.bodies[i]
-        if body.dof is not None:
-            axis_w = world[i].rot.matvec(body.axis)
-            if body.joint_type == "prismatic":
-                col = MotionVector(Vec3.zero(), axis_w)
-            else:
-                col = MotionVector(axis_w, axis_w.cross(p_link - world[i].trans))
-            J[0:3, body.dof] = col.ang.values()
-            J[3:6, body.dof] = col.lin.values()
+        axis_w = world[i].rot.matvec(body.axis)
+        if body.joint_type == "prismatic":
+            col = MotionVector(Vec3.zero(), axis_w)
+        else:
+            col = MotionVector(axis_w, axis_w.cross(p_link - world[i].trans))
+        J[0:3, i] = col.ang.values()
+        J[3:6, i] = col.lin.values()
         i = body.parent
     return J
 
@@ -102,10 +101,9 @@ def _check_q(model, q):
         raise ValueError(f"expected {model.n} joint coordinates, got {len(q)}")
 
 
-def _pose_loss(model, idx, qs, target_pos, target_rot, orientation_weight):
+def _pose_loss(model, frame, qs, target_pos, target_rot, orientation_weight):
     """Loss pieces for IK; generic over the scalar type of qs."""
-    world = world_transforms(model, qs)
-    X = world[idx]
+    X = link_transform(world_transforms(model, qs), frame)
     d = X.trans - target_pos
     pos_sq = d.dot(d)
     loss = pos_sq
@@ -128,7 +126,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     limits are enforced by projection after every step.  Non-convergence is
     reported through the returned flag, never as an exception.
     """
-    idx = model.body_index(link)
+    frame = model.link(link)
     _check_q(model, q0)
     if isinstance(target, Pose):
         target_pos, target_rot = target.position, target.rotation
@@ -148,7 +146,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     step = step_size
 
     def eval_float(qv):
-        loss, pos_sq, cos_t = _pose_loss(model, idx, list(qv), target_pos,
+        loss, pos_sq, cos_t = _pose_loss(model, frame, list(qv), target_pos,
                                          target_rot, 1.0)
         ang = ad.acos(cos_t) if cos_t is not None else 0.0
         return float(loss), float(np.sqrt(pos_sq)), float(ang)
@@ -165,6 +163,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     loss, pos_err, ang_err = eval_float(q)
     best_q, best = q.copy(), (loss, pos_err, ang_err)
     stagnant = 0
+    restarts = backtracks = 0
     it = 0
     for it in range(max_iters):
         done_pos = pos_err < pos_tolerance
@@ -179,7 +178,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             perturbed = True
             continue
         grad = ad.gradient(
-            lambda qs: _pose_loss(model, idx, qs, target_pos, target_rot, 1.0)[0],
+            lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot, 1.0)[0],
             q)
         accepted = False
         loss_before = loss
@@ -196,6 +195,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
                 accepted = True
                 break
             s *= 0.5
+            backtracks += 1
         if not accepted:
             for _ in range(20):
                 q_trial = np.clip(q - step * grad, lo, hi)
@@ -207,6 +207,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
                     accepted = True
                     break
                 step *= 0.5
+                backtracks += 1
         if accepted:
             if loss < best[0]:
                 best_q, best = q.copy(), (loss, pos_err, ang_err)
@@ -218,6 +219,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             # Stalled or grinding at a limit-constrained local minimum:
             # restart from the best of a few random in-limit configurations,
             # keeping the best iterate found so far.
+            restarts += 1
             best_cand = None
             for _ in range(5):
                 cand = np.array([rng.uniform(lo_s[j], hi_s[j])
@@ -238,4 +240,5 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     done_rot = target_rot is None or ang_err < rot_tolerance
     residual = pos_err if target_rot is None else max(pos_err, ang_err)
     return IKResult(q=best_q, converged=bool(done_pos and done_rot),
-                    residual=residual, iterations=it)
+                    residual=residual, iterations=it, restarts=restarts,
+                    backtracks=backtracks)

@@ -160,8 +160,6 @@ class ParamStore:
         if field not in _FIELD_KINDS:
             raise ValueError(f"unknown field '{field}' (expected mass/com/rot_inertia)")
         body = self.model.bodies[idx]
-        if body.inertia is None or float(ad.value(body.inertia.mass)) <= 0.0:
-            raise ValueError(f"link '{link}' has no inertial data to learn")
         for e in self.entries:
             if e.body == idx and e.field == field:
                 raise ValueError(f"{link}.{field} is already learnable")
@@ -245,7 +243,7 @@ class TrajectoryDataset:
         return self.q.shape[0]
 
     @property
-    def dof(self):
+    def n_joints(self):
         return self.q.shape[1]
 
     def subset(self, idx):
@@ -312,8 +310,8 @@ def inverse_dynamics_loss(store, dataset, raw=None, gravity=None):
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     model = store.model
-    if dataset.dof != model.n:
-        raise ValueError(f"dataset has {dataset.dof} DoF, model has {model.n}")
+    if dataset.n_joints != model.n:
+        raise ValueError(f"dataset has {dataset.n_joints} DoF, model has {model.n}")
     inertias = store.inertias(raw)
     pred = rnea(model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                 gravity=gravity, inertias=inertias)

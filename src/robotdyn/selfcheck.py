@@ -89,7 +89,7 @@ def check_mass_matrix_pd(model, rng, n_states):
 
 def check_jacobian_fd(model, rng, n_states, step=1e-6):
     """Analytic geometric Jacobian vs central finite differences of FK."""
-    link = model.bodies[-1].name
+    link = model.link_names()[-1]
     err = 0.0
     for _ in range(n_states):
         q, _, _ = _random_state(model, rng)

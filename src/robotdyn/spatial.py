@@ -343,6 +343,12 @@ class SpatialInertia:
         i_p = i_com.rotate_sym(R) + parallel_axis_term(self.mass, com_p)
         return SpatialInertia(self.mass, com_p, i_p)
 
+    def __add__(self, o):
+        """Two rigidly joined bodies in one frame (total mass must be positive)."""
+        mass = self.mass + o.mass
+        h = self.com.scale(self.mass) + o.com.scale(o.mass)
+        return SpatialInertia(mass, h.scale(1.0 / mass), self.rot_inertia + o.rot_inertia)
+
     def kinetic_energy(self, v):
         return 0.5 * v.dot(self.times_motion(v))
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import Mat33, SpatialInertia, SpatialTransform, Vec3, \
-    parallel_axis_term, xform_from_rpy_xyz
+from .spatial import Mat33, SpatialInertia, Vec3, parallel_axis_term, \
+    xform_from_rpy_xyz
 
 
 class UrdfError(Exception):
@@ -289,59 +289,69 @@ def validate(desc):
 
 
 class Body:
-    """One rigid body of the built model, tied to its inbound joint."""
+    """One moving rigid body: the links behind one movable joint, up to the
+    next movable joints.  Body ``i`` carries joint coordinate ``i``."""
 
     __slots__ = ("name", "parent", "joint_name", "joint_type", "axis", "origin",
-                 "inertia", "dof", "limit_lower", "limit_upper")
+                 "inertia", "limit_lower", "limit_upper")
 
-    def __init__(self, name, parent, joint_name, joint_type, axis, origin,
-                 inertia, dof, limit_lower, limit_upper):
+    def __init__(self, name, parent, joint, origin, inertia):
         self.name = name
         self.parent = parent
-        self.joint_name = joint_name
-        self.joint_type = joint_type
-        self.axis = axis
+        self.joint_name = joint.name
+        self.joint_type = joint.type
+        self.axis = Vec3.fromlist(joint.axis)
         self.origin = origin
         self.inertia = inertia
-        self.dof = dof
-        self.limit_lower = limit_lower
-        self.limit_upper = limit_upper
+        self.limit_lower = joint.limit_lower
+        self.limit_upper = joint.limit_upper
 
-    @property
-    def movable(self):
-        return self.joint_type in MOVABLE_JOINT_TYPES
+
+@dataclass
+class Link:
+    """A URDF link frame: the body it moves with (-1 for the fixed base) and,
+    behind fixed joints, its constant pose ``offset`` in that body's frame
+    (None: the link frame is the body's own frame, or the base frame)."""
+    name: str
+    body: int
+    offset: object
 
 
 class RobotModel:
     """Immutable kinematic tree in topological (parent-before-child) order."""
 
-    def __init__(self, name, bodies, kinematics_only):
+    def __init__(self, name, bodies, links, kinematics_only):
         self.name = name
         self.bodies = bodies
+        self.links = links
         self.kinematics_only = kinematics_only
-        self.n = sum(1 for b in bodies if b.dof is not None)
-        self.link_index = {b.name: i for i, b in enumerate(bodies)}
+        self.n = len(bodies)
+        self._link_by_name = {l.name: l for l in links}
 
-    def body_index(self, link_name):
+    def link(self, link_name):
         try:
-            return self.link_index[link_name]
+            return self._link_by_name[link_name]
         except KeyError:
             raise KeyError(f"unknown link '{link_name}'") from None
 
+    def body_index(self, link_name):
+        """Index of the body whose frame is the frame of ``link_name``."""
+        link = self.link(link_name)
+        if link.offset is None and link.body >= 0:
+            return link.body
+        owner = f"body '{self.bodies[link.body].name}'" if link.body >= 0 \
+            else "the fixed base"
+        raise ValueError(f"link '{link_name}' has no body of its own: it moves "
+                         f"with {owner}, which carries its inertia")
+
     def link_names(self):
-        return [b.name for b in self.bodies]
+        return [l.name for l in self.links]
 
     def joint_limits(self):
         """(lower, upper) arrays of length n; missing limits become +-inf."""
-        lo = np.full(self.n, -np.inf)
-        hi = np.full(self.n, np.inf)
-        for b in self.bodies:
-            if b.dof is not None:
-                if b.limit_lower is not None:
-                    lo[b.dof] = b.limit_lower
-                if b.limit_upper is not None:
-                    hi[b.dof] = b.limit_upper
-        return lo, hi
+        lo = [-np.inf if b.limit_lower is None else b.limit_lower for b in self.bodies]
+        hi = [np.inf if b.limit_upper is None else b.limit_upper for b in self.bodies]
+        return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
     def inertias(self):
         """Per-body SpatialInertia list (zero for bodies without inertial data)."""
@@ -363,61 +373,55 @@ def _fold_inertial(inertial):
 def build_model(desc, kinematics_only=False):
     """Build the kinematic tree; raises ValidationError on structural errors.
 
-    With ``kinematics_only`` a movable link may lack inertial data (its
-    inertia is stored as None and dynamics calls are refused).
+    Each movable joint gets one body, in depth-first order.  A link behind a
+    fixed joint gets none: it moves with the body above it (or the fixed
+    base, whose mass never moves and is dropped) and its inertia is merged
+    into that body's.  With ``kinematics_only`` a movable link may lack
+    inertial data (its inertia is stored as None and dynamics are refused).
     """
     errors = [d for d in validate(desc) if d.level == "error"]
     if errors:
         raise ValidationError("; ".join(str(d) for d in errors))
 
-    links = {l.name: l for l in desc.links}
+    urdf_links = {l.name: l for l in desc.links}
     joint_by_child = {j.child: j for j in desc.joints}
-    root = next(n for n in links if n not in joint_by_child)
+    root = next(n for n in urdf_links if n not in joint_by_child)
 
     children = {}
     for j in desc.joints:
         children.setdefault(j.parent, []).append(j)
 
     bodies = []
-    index_of = {}
-    next_dof = 0
+    links = []
 
-    def add_body(link_name, parent_idx, joint):
-        nonlocal next_dof
-        link = links[link_name]
-        if joint is None:
-            origin = SpatialTransform.identity()
-            axis = Vec3(1.0, 0.0, 0.0)
-            jname, jtype = None, "fixed"
-            lo = hi = None
-        else:
-            origin = xform_from_rpy_xyz(Vec3.fromlist(joint.origin_rpy),
-                                        Vec3.fromlist(joint.origin_xyz))
-            axis = Vec3.fromlist(joint.axis)
-            jname, jtype = joint.name, joint.type
-            lo, hi = joint.limit_lower, joint.limit_upper
-        movable = jtype in MOVABLE_JOINT_TYPES
-        if link.inertial is not None:
-            inertia = _fold_inertial(link.inertial)
-        elif movable and not kinematics_only:
-            raise ValidationError(
-                f"link '{link_name}' is moved by joint '{jname}' but has no inertial "
-                f"data; build with kinematics_only=True for FK-only use")
-        else:
-            inertia = None if kinematics_only else SpatialInertia.zero()
-        dof = None
-        if movable:
-            dof = next_dof
-            next_dof += 1
-        idx = len(bodies)
-        bodies.append(Body(link_name, parent_idx, jname, jtype, axis, origin,
-                           inertia, dof, lo, hi))
-        index_of[link_name] = idx
-        for child_joint in children.get(link_name, []):
-            add_body(child_joint.child, idx, child_joint)
+    def add_link(link_name, body, offset):
+        links.append(Link(link_name, body, offset))
+        for joint in children.get(link_name, []):
+            X = xform_from_rpy_xyz(Vec3.fromlist(joint.origin_rpy),
+                                   Vec3.fromlist(joint.origin_xyz))
+            if offset is not None:
+                X = offset.compose(X)
+            inertial = urdf_links[joint.child].inertial
+            if joint.type == "fixed":
+                if inertial is not None and body >= 0 \
+                        and bodies[body].inertia is not None:
+                    bodies[body].inertia = bodies[body].inertia \
+                        + _fold_inertial(inertial).transform(X)
+                add_link(joint.child, body, X)
+                continue
+            if inertial is not None:
+                inertia = _fold_inertial(inertial)
+            elif kinematics_only:
+                inertia = None
+            else:
+                raise ValidationError(
+                    f"link '{joint.child}' is moved by joint '{joint.name}' but has "
+                    f"no inertial data; build with kinematics_only=True for FK-only use")
+            bodies.append(Body(joint.child, body, joint, X, inertia))
+            add_link(joint.child, len(bodies) - 1, None)
 
-    add_body(root, -1, None)
-    return RobotModel(desc.name, bodies, kinematics_only)
+    add_link(root, -1, None)
+    return RobotModel(desc.name, bodies, links, kinematics_only)
 
 
 def load_model(path, kinematics_only=False):

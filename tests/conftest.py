@@ -40,3 +40,38 @@ def random_state(model, rng, scale=1.0):
     qd = rng.uniform(-scale, scale, size=model.n)
     tau = rng.uniform(-scale, scale, size=model.n)
     return q, qd, tau
+
+
+def urdf_text(name, links, joints):
+    """URDF XML for a robot given as plain tuples.
+
+    ``links``: (name, inertial) with inertial None or
+    (mass, com_xyz, com_rpy, (ixx, ixy, ixz, iyy, iyz, izz)).
+    ``joints``: (name, type, parent, child, xyz, rpy, axis); revolute joints
+    get limits of +-3 rad.
+    """
+    def triple(v):
+        return " ".join(repr(float(x)) for x in v)
+
+    out = [f'<robot name="{name}">']
+    for link, inertial in links:
+        if inertial is None:
+            out.append(f'  <link name="{link}"/>')
+            continue
+        mass, xyz, rpy, (ixx, ixy, ixz, iyy, iyz, izz) = inertial
+        out += [f'  <link name="{link}">', "    <inertial>",
+                f'      <origin xyz="{triple(xyz)}" rpy="{triple(rpy)}"/>',
+                f'      <mass value="{float(mass)!r}"/>',
+                f'      <inertia ixx="{ixx!r}" ixy="{ixy!r}" ixz="{ixz!r}" '
+                f'iyy="{iyy!r}" iyz="{iyz!r}" izz="{izz!r}"/>',
+                "    </inertial>", "  </link>"]
+    for joint, jtype, parent, child, xyz, rpy, axis in joints:
+        out += [f'  <joint name="{joint}" type="{jtype}">',
+                f'    <parent link="{parent}"/>', f'    <child link="{child}"/>',
+                f'    <origin xyz="{triple(xyz)}" rpy="{triple(rpy)}"/>',
+                f'    <axis xyz="{triple(axis)}"/>']
+        if jtype == "revolute":
+            out.append('    <limit lower="-3" upper="3" effort="100" velocity="5"/>')
+        out.append("  </joint>")
+    out.append("</robot>")
+    return "\n".join(out)

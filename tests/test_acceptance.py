@@ -107,29 +107,23 @@ def test_criterion_2_closed_form_fixtures(capsys, pendulum, two_link):
 
 
 def _learnable_inertias(model, params):
-    """Per-body inertias rebuilt from a flat parameter vector (10 per movable
-    body: mass, com, and the 6 unique rotational inertia entries)."""
-    base = model.inertias()
-    out = list(base)
+    """Per-body inertias rebuilt from a flat parameter vector (10 per body:
+    mass, com, and the 6 unique rotational inertia entries)."""
+    out = []
     k = 0
-    for i, body in enumerate(model.bodies):
-        if body.dof is None:
-            continue
+    for _ in model.bodies:
         mass = params[k]
         com = Vec3(params[k + 1], params[k + 2], params[k + 3])
         a, b, c, d, e, f = params[k + 4:k + 10]
         rot = Mat33(a, b, c, b, d, e, c, e, f)
-        out[i] = SpatialInertia(mass, com, rot)
+        out.append(SpatialInertia(mass, com, rot))
         k += 10
     return out
 
 
 def _inertial_param_vector(model):
     vals = []
-    for i, body in enumerate(model.bodies):
-        if body.dof is None:
-            continue
-        I = model.inertias()[i]
+    for I in model.inertias():
         R = I.rot_inertia
         vals += [I.mass, I.com.x, I.com.y, I.com.z,
                  R.a, R.b, R.c, R.e, R.f, R.i]
@@ -141,7 +135,7 @@ def test_criterion_3_differentiability(capsys, all_models):
     worst = 0.0
     for model in all_models:
         n = model.n
-        link = model.bodies[-1].name
+        link = model.link_names()[-1]
         p0 = _inertial_param_vector(model)
         rng = np.random.default_rng(2)
         for _ in range(50):

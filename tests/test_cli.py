@@ -195,7 +195,19 @@ def test_ik_position_target(capsys):
     assert doc["converged"] is True
     assert doc["residual"] < 1e-4
     assert isinstance(doc["iterations"], int)
+    assert isinstance(doc["restarts"], int) and isinstance(doc["backtracks"], int)
     assert len(doc["q"]) == 2
+
+
+def test_ik_reports_restarts_and_backtracks(capsys):
+    args = ("ik", fx("two_link_planar"), "--link", "tool", "--target", "3,0,0",
+            "--q0", "0.3,0.2")
+    code, doc, _ = run_json(capsys, *args)
+    assert code == 0 and doc["converged"] is False
+    assert doc["restarts"] > 0 and doc["backtracks"] > 0
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert f"restarts: {doc['restarts']}, backtracks: {doc['backtracks']}" in out
 
 
 def test_ik_full_pose_target(capsys):

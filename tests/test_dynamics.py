@@ -6,6 +6,8 @@ import pytest
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
+from robotdyn.kinematics import forward_kinematics, link_jacobian
+from robotdyn.spatial import SpatialInertia
 from robotdyn.dynamics import (
     DynamicsError,
     aba,
@@ -18,7 +20,7 @@ from robotdyn.dynamics import (
     simulate,
     total_energy,
 )
-from conftest import random_state
+from conftest import random_state, urdf_text
 
 G = 9.81
 NO_GRAVITY = (0.0, 0.0, 0.0)
@@ -207,6 +209,139 @@ def test_aba_singular_inertia_reports_joint():
     assert "pivot" in str(exc.value)
 
 
+def test_aba_singularity_test_is_scale_free(six_dof):
+    # The arm with every mass and rotational inertia scaled by 1e-10 is as
+    # regular as the original; only its torques are 1e-10 times smaller.
+    scaled = [SpatialInertia(1e-10 * I.mass, I.com, I.rot_inertia.scale(1e-10))
+              for I in six_dof.inertias()]
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        q, qd, tau = random_state(six_dof, rng)
+        tau = 1e-10 * tau
+        qdd = aba(six_dof, list(q), list(qd), list(tau), inertias=scaled)
+        back = np.array(rnea(six_dof, list(q), list(qd), qdd, inertias=scaled))
+        assert np.max(np.abs(back - tau)) <= 1e-8 * np.max(np.abs(tau))
+
+
+# ---------------------------------------------------------------------------
+# fixed joints: a link on a fixed joint is merged into the body it moves with.
+# Oracle: the same robot with every fixed joint made a continuous joint held
+# at q = qd = qdd = 0.
+
+
+def _box_link(name, mass, com, rpy=(0.0, 0.0, 0.0)):
+    # a solid 0.1 x 0.2 x 0.3 m box, so that every joint axis sees inertia
+    ixx, iyy, izz = (mass / 12.0 * (b * b + c * c)
+                     for b, c in ((0.2, 0.3), (0.1, 0.3), (0.1, 0.2)))
+    return (name, (mass, com, rpy, (ixx, 0.0, 0.0, iyy, 0.0, izz)))
+
+
+MERGE_CASES = {
+    # a 4 kg payload on a fixed joint at the end of a two-joint arm
+    "payload": (
+        [("base", None), _box_link("l1", 2.0, (0.2, 0.0, 0.1)),
+         _box_link("l2", 1.5, (0.3, 0.05, 0.0), (0.1, 0.2, 0.3)),
+         _box_link("payload", 4.0, (0.05, -0.1, 0.02), (0.4, 0.0, -0.2))],
+        [("j1", "revolute", "base", "l1", (0, 0, 0.3), (0, 0, 0), (0, 0, 1)),
+         ("j2", "revolute", "l1", "l2", (0.4, 0, 0), (0.2, 0, 0), (0, 1, 0)),
+         ("mount", "fixed", "l2", "payload", (0.5, 0.1, 0), (0.3, -0.4, 1.1),
+          (0, 0, 1))]),
+    # a fixed joint in the middle of the chain, with a revolute child
+    "mid_chain": (
+        [("base", None), _box_link("l1", 2.0, (0.1, 0.0, 0.2)),
+         _box_link("spacer", 0.7, (0.0, 0.1, 0.05), (0.5, 0.5, 0.0)),
+         _box_link("l2", 1.0, (0.25, 0.0, 0.0)),
+         _box_link("l3", 0.5, (0.1, 0.02, 0.0))],
+        [("j1", "revolute", "base", "l1", (0, 0, 0.2), (0, 0, 0), (0, 0, 1)),
+         ("weld", "fixed", "l1", "spacer", (0.1, 0.2, 0.3), (0.7, -0.2, 0.4),
+          (0, 0, 1)),
+         ("j2", "revolute", "spacer", "l2", (0.2, 0, 0.1), (0, 0.3, 0), (1, 0, 0)),
+         ("j3", "prismatic", "l2", "l3", (0.3, 0, 0), (0, 0, 0), (0.6, 0, 0.8))]),
+    # a massive pedestal fixed to the base, carrying the first joint
+    "pedestal": (
+        [("base", None), _box_link("pedestal", 20.0, (0.0, 0.0, 0.25)),
+         _box_link("l1", 2.0, (0.2, 0.0, 0.0)), _box_link("l2", 1.0, (0.3, 0, 0))],
+        [("bolt", "fixed", "base", "pedestal", (0.1, -0.2, 0.0), (0, 0, 0.6),
+          (0, 0, 1)),
+         ("j1", "revolute", "pedestal", "l1", (0, 0, 0.5), (0.1, 0, 0), (0, 0, 1)),
+         ("j2", "continuous", "l1", "l2", (0.4, 0, 0), (0, 0, 0), (0, 1, 0))]),
+}
+
+
+def _merged_and_held(case):
+    links, joints = MERGE_CASES[case]
+    held = [(j[0], "continuous") + j[2:] if j[1] == "fixed" else j for j in joints]
+    return (rd.build_model(rd.parse_urdf(urdf_text(case, links, joints))),
+            rd.build_model(rd.parse_urdf(urdf_text(case, links, held))))
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_fixed_joint_merge_matches_held_joints(case):
+    merged, held = _merged_and_held(case)
+    fixed = {j[0] for j in MERGE_CASES[case][1] if j[1] == "fixed"}
+    assert merged.n == held.n - len(fixed)
+    assert merged.link_names() == held.link_names()
+    col = {b.joint_name: k for k, b in enumerate(held.bodies)}
+    shared = [col[b.joint_name] for b in merged.bodies]
+    pinned = [col[name] for name in sorted(fixed)]
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        q, qd, qdd = (rng.uniform(-1.5, 1.5, merged.n) for _ in range(3))
+        qf, qdf, qddf = (np.zeros(held.n) for _ in range(3))
+        qf[shared], qdf[shared], qddf[shared] = q, qd, qdd
+
+        tau = np.array(rnea(merged, list(q), list(qd), list(qdd)))
+        tau_f = np.array(rnea(held, list(qf), list(qdf), list(qddf)))
+        np.testing.assert_allclose(tau_f[shared], tau, rtol=0, atol=1e-10)
+
+        M = np.asarray(mass_matrix(merged, list(q)))
+        M_f = np.asarray(mass_matrix(held, list(qf)))
+        np.testing.assert_allclose(M_f[np.ix_(shared, shared)], M, rtol=0, atol=1e-10)
+
+        # drive the held model with the merged model's torques plus the
+        # torques that hold the pinned joints: they must stay at rest
+        tau_in = rng.uniform(-5, 5, merged.n)
+        acc = np.array(aba(merged, list(q), list(qd), list(tau_in)))
+        qddf[shared] = acc
+        tau_full = np.array(rnea(held, list(qf), list(qdf), list(qddf)))
+        tau_full[shared] = tau_in
+        acc_f = np.array(aba(held, list(qf), list(qdf), list(tau_full)))
+        np.testing.assert_allclose(acc_f[pinned], 0.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(acc_f[shared], acc, rtol=0, atol=1e-10)
+
+        poses = forward_kinematics(merged, list(q))
+        poses_f = forward_kinematics(held, list(qf))
+        for link in merged.link_names():
+            np.testing.assert_allclose(poses[link].position.values(),
+                                       poses_f[link].position.values(), atol=1e-14)
+            np.testing.assert_allclose(np.array(poses[link].rotation.rows()),
+                                       np.array(poses_f[link].rotation.rows()),
+                                       atol=1e-14)
+            J = link_jacobian(merged, list(q), link)
+            np.testing.assert_allclose(link_jacobian(held, list(qf), link)[:, shared],
+                                       J, atol=1e-14)
+
+
+def test_inertias_argument_must_have_one_entry_per_body(two_link):
+    # a per-link list (base, link1, link2, tool) is the wrong layout
+    per_link = [SpatialInertia.zero()] + two_link.inertias() + [SpatialInertia.zero()]
+    with pytest.raises(ValueError, match="inertias must have length 2, got 4"):
+        rnea(two_link, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], inertias=per_link)
+
+
+def test_mass_fixed_to_the_base_changes_no_dynamics():
+    links, joints = MERGE_CASES["pedestal"]
+    bare = [(name, None if name == "pedestal" else inertial) for name, inertial in links]
+    with_mass = rd.build_model(rd.parse_urdf(urdf_text("p", links, joints)))
+    without = rd.build_model(rd.parse_urdf(urdf_text("p", bare, joints)))
+    rng = np.random.default_rng(14)
+    q, qd, tau = (list(rng.uniform(-1, 1, 2)) for _ in range(3))
+    assert rnea(with_mass, q, qd, tau) == rnea(without, q, qd, tau)
+    assert aba(with_mass, q, qd, tau) == aba(without, q, qd, tau)
+    assert mass_matrix(with_mass, q) == mass_matrix(without, q)
+    assert potential_energy(with_mass, q) == potential_energy(without, q)
+
+
 # ---------------------------------------------------------------------------
 # differentiability
 
@@ -258,6 +393,16 @@ def test_potential_energy_matches_height(pendulum):
     for q in (0.0, 0.5, -1.2):
         u = potential_energy(pendulum, [q])
         np.testing.assert_allclose(u, -G * np.sin(q), atol=1e-12)
+
+
+def test_potential_energy_rejects_wrong_length_q(two_link):
+    with pytest.raises(ValueError, match="q must have length 2, got 3"):
+        potential_energy(two_link, [0.1, 0.2, 0.3])
+
+
+def test_total_energy_rejects_wrong_length_qd(two_link):
+    with pytest.raises(ValueError, match="qd must have length 2, got 3"):
+        total_energy(two_link, [0.1, 0.2], [0.0, 0.0, 0.0])
 
 
 def test_total_energy_is_kinetic_plus_potential(pendulum):

@@ -140,6 +140,7 @@ def test_ik_fixed_point_returns_immediately(two_link):
     res = inverse_kinematics(two_link, target, "tool", q0=q0)
     assert res.converged
     assert res.iterations == 0
+    assert (res.restarts, res.backtracks) == (0, 0)
     np.testing.assert_allclose(res.q, q0, atol=1e-12)
     # the orientation-error acos clamp leaves a ~1e-6 residual floor
     assert res.residual < 1e-5
@@ -159,6 +160,8 @@ def test_ik_unreachable_target_reports_residual(two_link):
     assert not res.converged
     # max reach is 2 m, so the best possible distance to (3,0,0) is 1 m
     np.testing.assert_allclose(res.residual, 1.0, atol=1e-3)
+    # the solver stalls at full reach, backtracks and restarts
+    assert res.restarts > 0 and res.backtracks > 0
 
 
 def test_ik_respects_joint_limits(six_dof):

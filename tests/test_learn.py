@@ -137,7 +137,9 @@ def test_make_learnable_unknown_field_and_kind(pendulum):
 
 
 def test_make_learnable_link_without_inertial(two_link):
-    with pytest.raises(ValueError):
+    # "tool" hangs on a fixed joint: it has no body of its own, and the error
+    # names the body its inertia was merged into
+    with pytest.raises(ValueError, match="'link2'"):
         make_learnable(two_link, "tool", "mass")
 
 

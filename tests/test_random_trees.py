@@ -1,0 +1,129 @@
+"""Property tests on random valid URDF trees: the cross-algorithm oracles of
+``robot check`` and an independent forward-kinematics oracle.
+
+Trees have 1-6 movable joints (revolute, continuous, prismatic) and 0-3
+fixed joints, each attached under a random earlier link, so chains branch.
+Ranges, fixed up front: joint origins and CoM offsets are 0.05-1 m long in
+a random direction with random rpy; axes are random unit vectors; each
+inertia is that of a solid box with sides 0.05-1 m and mass 0.1-10 kg,
+rotated by a random rpy.  Fixed links and the base carry mass or none.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import robotdyn as rd
+from robotdyn import selfcheck
+from conftest import urdf_text
+
+MOVABLE = ("revolute", "continuous", "prismatic")
+ALGEBRA_CHECKS = ("aba_rnea_roundtrip", "crba_columns", "aba_vs_cholesky",
+                  "mass_matrix_symmetry", "mass_matrix_positive_definite",
+                  "jacobian_vs_finite_difference", "gradient_vs_finite_difference")
+
+angles = st.floats(-np.pi, np.pi)
+rpys = st.tuples(angles, angles, angles)
+
+
+@st.composite
+def unit_vectors(draw):
+    z = draw(st.floats(-1.0, 1.0))
+    phi = draw(angles)
+    r = np.sqrt(1.0 - z * z)
+    return (r * np.cos(phi), r * np.sin(phi), z)
+
+
+@st.composite
+def offsets(draw):
+    length = draw(st.floats(0.05, 1.0))
+    return tuple(length * c for c in draw(unit_vectors()))
+
+
+@st.composite
+def box_inertials(draw):
+    mass = draw(st.floats(0.1, 10.0))
+    a, b, c = (draw(st.floats(0.05, 1.0)) for _ in range(3))
+    k = mass / 12.0
+    inertia = (k * (b * b + c * c), 0.0, 0.0, k * (a * a + c * c), 0.0,
+               k * (a * a + b * b))
+    return (mass, draw(offsets()), draw(rpys), inertia)
+
+
+@st.composite
+def robot_trees(draw):
+    """(links, joints) tuples for ``urdf_text``: link k is the child of joint k."""
+    n_movable = draw(st.integers(1, 6))
+    n_fixed = draw(st.integers(0, 3))
+    types = draw(st.permutations([None] * n_movable + ["fixed"] * n_fixed))
+    links = [("base", draw(st.none() | box_inertials()))]
+    joints = []
+    for k, jtype in enumerate(types, start=1):
+        jtype = jtype or draw(st.sampled_from(MOVABLE))
+        parent = links[draw(st.integers(0, k - 1))][0]
+        inertial = draw(box_inertials()) if jtype != "fixed" \
+            else draw(st.none() | box_inertials())
+        links.append((f"l{k}", inertial))
+        joints.append((f"j{k}", jtype, parent, f"l{k}", draw(offsets()), draw(rpys),
+                       draw(unit_vectors())))
+    return links, joints
+
+
+def _rpy_matrix(rpy):
+    r, p, y = rpy
+    cr, sr, cp, sp, cy, sy = np.cos(r), np.sin(r), np.cos(p), np.sin(p), np.cos(y), np.sin(y)
+    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+    return rz @ ry @ rx
+
+
+def _axis_angle_matrix(axis, t):
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + np.sin(t) * k + (1.0 - np.cos(t)) * (k @ k)
+
+
+def _reference_poses(joints, coords):
+    """Link poses by composing 4x4 homogeneous matrices, joint by joint."""
+    poses = {"base": np.eye(4)}
+    for name, jtype, parent, child, xyz, rpy, axis in joints:
+        origin = np.eye(4)
+        origin[:3, :3], origin[:3, 3] = _rpy_matrix(rpy), xyz
+        motion = np.eye(4)
+        t = coords.get(name, 0.0)
+        if jtype == "prismatic":
+            motion[:3, 3] = t * np.asarray(axis)
+        elif jtype != "fixed":
+            motion[:3, :3] = _axis_angle_matrix(axis, t)
+        poses[child] = poses[parent] @ origin @ motion
+    return poses
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees())
+def test_random_tree_passes_algebraic_checks(tree):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    assert model.n == sum(j[1] != "fixed" for j in joints)
+    for name, fn, tol in selfcheck.CHECKS:
+        if name not in ALGEBRA_CHECKS:
+            continue
+        rng = np.random.default_rng(0)
+        err = fn(model, rng, 1 if fn is selfcheck.check_ad_vs_fd else 3)
+        assert err < tol, f"{name}: max_error {err:.3g} >= {tol:g}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(robot_trees(), st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_random_tree_fk_round_trip(tree, values):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    assert model.link_names()[0] == "base"
+    assert sorted(model.link_names()) == sorted(name for name, _ in links)
+    q = values[:model.n]
+    coords = {b.joint_name: qi for b, qi in zip(model.bodies, q)}
+    want = _reference_poses(joints, coords)
+    for link, pose in rd.forward_kinematics(model, q).items():
+        np.testing.assert_allclose(pose.position.values(), want[link][:3, 3], atol=1e-12)
+        np.testing.assert_allclose(np.array(pose.rotation.rows()), want[link][:3, :3],
+                                   atol=1e-12)

@@ -257,13 +257,23 @@ def test_diagnostic_str_includes_level_and_code():
 def test_build_minimal_chain_counts():
     model = build_model(parse_urdf(MINIMAL))
     assert model.n == 1
-    assert len(model.bodies) == 2
+    assert len(model.bodies) == 1  # the fixed base has no body
     assert model.link_names() == ["base", "arm"]
 
 
-def test_fixed_joint_adds_body_but_no_dof(two_link):
+def test_fixed_joint_link_merges_into_parent_body(two_link):
     assert two_link.n == 2
-    assert len(two_link.bodies) == 4  # base, link1, link2, tool
+    assert [b.name for b in two_link.bodies] == ["link1", "link2"]
+    assert two_link.link_names() == ["base", "link1", "link2", "tool"]
+    tool = two_link.link("tool")
+    assert tool.body == two_link.body_index("link2")
+    # the tool frame sits 1 m along link2's x axis, as the fixed joint says
+    q = [0.3, -0.5]
+    poses = rd.forward_kinematics(two_link, q)
+    want = (np.cos(0.3) + np.cos(-0.2), np.sin(0.3) + np.sin(-0.2), 0.0)
+    np.testing.assert_allclose(poses["tool"].position.values(), want, atol=1e-15)
+    np.testing.assert_allclose(np.array(poses["tool"].rotation.rows()),
+                               np.array(poses["link2"].rotation.rows()), atol=0)
 
 
 def test_build_rejects_invalid_description():
@@ -310,14 +320,38 @@ def test_inertial_fold_in_rotates_com_inertia():
                                np.diag([2.0, 1.0, 3.0]), atol=1e-12)
 
 
-def test_fixed_child_without_inertial_gets_zero_inertia(two_link):
-    tool = two_link.inertias()[two_link.body_index("tool")]
-    assert tool.mass == 0.0
+def test_fixed_payload_inertia_folds_into_parent():
+    # A 2 kg point payload fixed 0.5 m along the arm's y axis, rotated 90 deg
+    # about z, joins the 1 kg point mass at (1, 0, 0): total 3 kg, first
+    # moment (1, 1, 0), origin-referenced inertia the sum of both point terms.
+    xml = MINIMAL.replace("</robot>", """
+  <link name="payload">
+    <inertial>
+      <origin xyz="0 0 0"/>
+      <mass value="2.0"/>
+      <inertia ixx="0" ixy="0" ixz="0" iyy="0" iyz="0" izz="0"/>
+    </inertial>
+  </link>
+  <joint name="mount" type="fixed">
+    <parent link="arm"/>
+    <child link="payload"/>
+    <origin xyz="0 0.5 0" rpy="0 0 1.5707963267948966"/>
+  </joint>
+</robot>""")
+    model = build_model(parse_urdf(xml))
+    assert model.n == 1 and len(model.bodies) == 1
+    assert model.link_names() == ["base", "arm", "payload"]
+    I = model.inertias()[0]
+    np.testing.assert_allclose(I.mass, 3.0)
+    np.testing.assert_allclose(I.com.values(), [1 / 3, 1 / 3, 0.0], atol=1e-15)
+    point_arm = np.diag([0.0, 1.0, 1.0])                  # 1 kg at (1, 0, 0)
+    point_payload = 2.0 * np.diag([0.25, 0.0, 0.25])      # 2 kg at (0, 0.5, 0)
+    np.testing.assert_allclose(np.array(I.rot_inertia.rows()),
+                               point_arm + point_payload, atol=1e-15)
 
 
 def test_dof_assignment_is_topological(six_dof):
-    dofs = [b.dof for b in six_dof.bodies if b.dof is not None]
-    assert dofs == list(range(6))
+    assert [b.joint_name for b in six_dof.bodies] == [f"j{i + 1}" for i in range(6)]
 
 
 def test_joint_limits_arrays(six_dof):
