@@ -246,21 +246,37 @@ def _raise_first_nonfinite(tape):
     raise NonFiniteError("non-finite value with no offending tape node (constant input?)")
 
 
+def _inputs(x):
+    tape = Tape()
+    return [tape.var(float(xi)) for xi in x]
+
+
+def _adjoints(xs, y):
+    """Gradient of output ``y`` with respect to the inputs ``xs`` of its tape."""
+    if not isinstance(y, Var):
+        return np.zeros(len(xs))
+    if not _all_finite(y.value):
+        _raise_first_nonfinite(y.tape)
+    backward(y)
+    return np.array([0.0 if v.adj is None else float(np.sum(v.adj)) for v in xs])
+
+
 def gradient(f, x):
     """Gradient of scalar-valued ``f`` at ``x`` via one reverse sweep.
 
     ``f`` receives a list of ``Var`` and must return a ``Var`` (or a plain
     constant, in which case the gradient is zero).
     """
-    tape = Tape()
-    xs = [tape.var(float(xi)) for xi in x]
-    y = f(xs)
-    if not isinstance(y, Var):
-        return np.zeros(len(xs))
-    if not _all_finite(y.value):
-        _raise_first_nonfinite(tape)
-    backward(y)
-    return np.array([0.0 if v.adj is None else float(np.sum(v.adj)) for v in xs])
+    xs = _inputs(x)
+    return _adjoints(xs, f(xs))
+
+
+def jacobian_rev(f, x):
+    """Jacobian of vector-valued ``f`` at ``x``: ``f`` is recorded on one tape,
+    then one reverse sweep per output gives that output's row, equal to
+    ``gradient`` of the output alone."""
+    xs = _inputs(x)
+    return np.array([_adjoints(xs, y) for y in f(xs)])
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,21 @@ class IKResult:
     backtracks: int    # step halvings, summed over both line searches
 
 
-def joint_transform(body, qj):
-    """Pose of the child frame in the joint (post-origin) frame at coordinate qj."""
-    if body.joint_type == "prismatic":
-        return SpatialTransform(Mat33.identity(), body.axis.scale(qj))
-    return SpatialTransform(rot_axis_angle(body.axis, qj), Vec3.zero())
-
-
 def local_transforms(model, q):
-    """Per-body pose of the body frame in its parent frame (origin then joint)."""
-    return [body.origin.compose(joint_transform(body, q[i]))
-            for i, body in enumerate(model.bodies)]
+    """Per-body pose of the body frame in its parent frame (origin then joint).
+
+    A revolute or continuous joint only rotates, so its body frame keeps the
+    translation of the joint origin.
+    """
+    xs = []
+    for body, qj in zip(model.bodies, q):
+        origin = body.origin
+        if body.joint_type == "prismatic":
+            xs.append(origin.compose(SpatialTransform(Mat33.identity(), body.axis.scale(qj))))
+        else:
+            xs.append(SpatialTransform(origin.rot.matmat(rot_axis_angle(body.axis, qj)),
+                                       origin.trans))
+    return xs
 
 
 def world_transforms(model, q):
@@ -76,12 +80,15 @@ def forward_kinematics(model, q):
 def link_jacobian(model, q, link):
     """Geometric Jacobian of a link frame: rows 0-2 angular, 3-5 linear,
     base-frame coordinates, reference point at the link frame origin.
+
+    A batch of configurations (``q`` of equal-shape numpy arrays) gives an
+    array of shape ``(6, n, *batch)``.
     """
     _check_q(model, q)
     frame = model.link(link)
     world = world_transforms(model, q)
     p_link = link_transform(world, frame).trans
-    J = np.zeros((6, model.n))
+    J = np.zeros((6, model.n) + np.broadcast_shapes(*(np.shape(ad.value(x)) for x in q)))
     i = frame.body
     while i >= 0:
         body = model.bodies[i]
@@ -90,8 +97,8 @@ def link_jacobian(model, q, link):
             col = MotionVector(Vec3.zero(), axis_w)
         else:
             col = MotionVector(axis_w, axis_w.cross(p_link - world[i].trans))
-        J[0:3, i] = col.ang.values()
-        J[3:6, i] = col.lin.values()
+        for row, x in enumerate(col.tolist()):
+            J[row, i] = ad.value(x)
         i = body.parent
     return J
 

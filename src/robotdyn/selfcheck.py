@@ -27,112 +27,126 @@ def _random_state(model, rng, scale=1.0):
     return q, qd, tau
 
 
+def _random_states(model, rng, n_states):
+    """``n_states`` draws of ``_random_state``, in order, as (n, n_states)
+    arrays ``q``, ``qd``, ``tau``: row j holds coordinate j of every state."""
+    draws = [_random_state(model, rng) for _ in range(n_states)]
+    return tuple(np.array(x).T.copy() for x in zip(*draws))
+
+
+def _worst(errors):
+    """Largest error, folded from 0.0 as ``err = max(err, e)``: a NaN never wins."""
+    return max([0.0, *np.ravel(errors).tolist()])
+
+
 def _rel_inf(a, b):
+    """Per-state relative max-norm error of (n, k) batches: max|a - b| / max(1, max|b|)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+    return np.max(np.abs(a - b), axis=0) / np.maximum(1.0, np.max(np.abs(b), axis=0))
+
+
+def _batch_array(x, k):
+    """Nested lists of floats and k-sample batches as one array; samples last."""
+    if isinstance(x, list):
+        return np.array([_batch_array(v, k) for v in x])
+    return np.broadcast_to(x, (k,))
+
+
+def _central_columns(x, step):
+    """Columns (s, i, sign) for the (m, k) states ``x``: state s with entry i
+    moved by +step, then by -step; as a list of m rows of length 2·m·k."""
+    m, k = x.shape
+    xs = np.repeat(x, 2 * m, axis=1).reshape(m, k, m, 2)
+    for i in range(m):
+        xs[i, :, i, 0] += step
+        xs[i, :, i, 1] -= step
+    return list(xs.reshape(m, -1))
+
+
+def _mass_matrices(model, q):
+    """Mass matrices of the (n, k) configurations ``q`` as a (k, n, n) array."""
+    return np.moveaxis(_batch_array(mass_matrix(model, list(q)), q.shape[1]), -1, 0)
 
 
 def check_aba_rnea_roundtrip(model, rng, n_states):
-    err = 0.0
-    for _ in range(n_states):
-        q, qd, tau = _random_state(model, rng)
-        qdd = aba(model, list(q), list(qd), list(tau))
-        back = rnea(model, list(q), list(qd), qdd)
-        err = max(err, _rel_inf(back, tau))
-    return err
+    q, qd, tau = _random_states(model, rng, n_states)
+    qdd = aba(model, list(q), list(qd), list(tau))
+    back = rnea(model, list(q), list(qd), qdd)
+    return _worst(_rel_inf(back, tau))
 
 
 def check_crba_columns(model, rng, n_states):
-    err = 0.0
-    zero = [0.0] * model.n
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        M = np.asarray(mass_matrix(model, list(q)))
-        for j in range(model.n):
-            ej = [0.0] * model.n
-            ej[j] = 1.0
-            col = rnea(model, list(q), zero, ej, gravity=(0.0, 0.0, 0.0))
-            err = max(err, float(np.max(np.abs(M[:, j] - np.asarray(col)))))
-    return err
+    """Each mass-matrix column against inverse dynamics of a unit acceleration."""
+    n = model.n
+    q, _, _ = _random_states(model, rng, n_states)
+    M = _mass_matrices(model, q)
+    # column s*n + j: state s, unit acceleration of joint j
+    cols = rnea(model, list(np.repeat(q, n, axis=1)), [0.0] * n,
+                list(np.tile(np.eye(n), n_states)), gravity=(0.0, 0.0, 0.0))
+    cols = np.array(cols).T.reshape(n_states, n, n)  # [s, j, i]
+    return _worst(np.max(np.abs(M - cols.transpose(0, 2, 1)), axis=1))
 
 
 def check_aba_vs_cholesky(model, rng, n_states):
-    err = 0.0
-    for _ in range(n_states):
-        q, qd, tau = _random_state(model, rng)
-        a1 = aba(model, list(q), list(qd), list(tau))
-        a2 = forward_dynamics_cholesky(model, list(q), list(qd), list(tau))
-        err = max(err, _rel_inf(a1, a2))
-    return err
+    q, qd, tau = _random_states(model, rng, n_states)
+    a1 = aba(model, list(q), list(qd), list(tau))
+    a2 = forward_dynamics_cholesky(model, list(q), list(qd), list(tau))
+    return _worst(_rel_inf(a1, a2))
 
 
 def check_mass_matrix_symmetry(model, rng, n_states):
-    err = 0.0
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        M = np.asarray(mass_matrix(model, list(q)))
-        err = max(err, float(np.max(np.abs(M - M.T))))
-    return err
+    q, _, _ = _random_states(model, rng, n_states)
+    M = _mass_matrices(model, q)
+    return _worst(np.max(np.abs(M - M.transpose(0, 2, 1)), axis=(1, 2)))
 
 
 def check_mass_matrix_pd(model, rng, n_states):
     """0.0 when every sampled mass matrix admits a Cholesky factorization."""
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        M = np.asarray(mass_matrix(model, list(q)))
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            return 1.0
+    q, _, _ = _random_states(model, rng, n_states)
+    try:
+        np.linalg.cholesky(_mass_matrices(model, q))
+    except np.linalg.LinAlgError:
+        return 1.0
     return 0.0
 
 
 def check_jacobian_fd(model, rng, n_states, step=1e-6):
     """Analytic geometric Jacobian vs central finite differences of FK."""
+    n = model.n
     link = model.link_names()[-1]
-    err = 0.0
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        J = link_jacobian(model, list(q), link)
-        for j in range(model.n):
-            qp, qm = q.copy(), q.copy()
-            qp[j] += step
-            qm[j] -= step
-            pp = forward_kinematics(model, list(qp))[link]
-            pm = forward_kinematics(model, list(qm))[link]
-            fd_lin = (np.array(pp.position.values()) - np.array(pm.position.values())) \
-                / (2.0 * step)
-            Rp = np.array(pp.rotation.values())
-            Rm = np.array(pm.rotation.values())
-            dR = (Rp - Rm) / (2.0 * step)
-            W = dR @ np.array(forward_kinematics(model, list(q))[link].rotation.values()).T
-            fd_ang = np.array([W[2, 1], W[0, 2], W[1, 0]])
-            err = max(err, float(np.max(np.abs(J[3:6, j] - fd_lin))),
-                      float(np.max(np.abs(J[0:3, j] - fd_ang))))
-    return err
+    q, _, _ = _random_states(model, rng, n_states)
+    J = link_jacobian(model, list(q), link)              # [row, j, s]
+    R = _batch_array(forward_kinematics(model, list(q))[link].rotation.values(), n_states)
+    pose = forward_kinematics(model, _central_columns(q, step))[link]
+    p = _batch_array(pose.position.values(), 2 * n * n_states).reshape(3, n_states, n, 2)
+    Rs = _batch_array(pose.rotation.values(), 2 * n * n_states).reshape(3, 3, n_states, n, 2)
+    fd_lin = (p[..., 0] - p[..., 1]) / (2.0 * step)                  # [xyz, s, j]
+    # W = dR R^T with the 3x3 layouts of a single state's product, so that
+    # numpy multiplies each pair as it would one at a time
+    dR = np.ascontiguousarray(np.moveaxis((Rs[..., 0] - Rs[..., 1]) / (2.0 * step),
+                                          (0, 1), (2, 3)))          # [s, j, 3, 3]
+    Rt = np.ascontiguousarray(np.moveaxis(R, -1, 0)).swapaxes(-1, -2)  # [s, 3, 3]
+    W = dR @ Rt[:, None]
+    fd_ang = np.stack([W[..., 2, 1], W[..., 0, 2], W[..., 1, 0]])    # [xyz, s, j]
+    J = J.transpose(0, 2, 1)                                          # [row, s, j]
+    return _worst(np.fmax(np.max(np.abs(J[3:6] - fd_lin), axis=0),
+                          np.max(np.abs(J[0:3] - fd_ang), axis=0)))
 
 
 def check_ad_vs_fd(model, rng, n_states, step=1e-6):
     """Reverse-mode gradients of each inverse-dynamics output vs central FD."""
     n = model.n
-    err = 0.0
-    for _ in range(n_states):
-        q, qd, tau = _random_state(model, rng)
-        x0 = np.concatenate([q, qd, tau])
-
-        def tau_out(xs, k):
-            out = rnea(model, xs[:n], xs[n:2 * n], xs[2 * n:])
-            return out[k]
-
-        for k in range(n):
-            g = ad.gradient(lambda xs: tau_out(xs, k), list(x0))
-            for i in range(3 * n):
-                xp, xm = x0.copy(), x0.copy()
-                xp[i] += step
-                xm[i] -= step
-                fd = (tau_out(list(xp), k) - tau_out(list(xm), k)) / (2.0 * step)
-                err = max(err, abs(g[i] - fd) / max(1.0, abs(g[i])))
-    return err
+    m = 3 * n
+    q, qd, tau = _random_states(model, rng, n_states)
+    x = np.concatenate([q, qd, tau])                                  # [i, s]
+    # one tape per state, one backward sweep per output: G[s, k, i]
+    G = np.array([ad.jacobian_rev(lambda xs: rnea(model, xs[:n], xs[n:2 * n], xs[2 * n:]),
+                                  list(x[:, s])) for s in range(n_states)])
+    xs = _central_columns(x, step)
+    out = np.array(rnea(model, xs[:n], xs[n:2 * n], xs[2 * n:])).reshape(n, n_states, m, 2)
+    fd = (out[..., 0] - out[..., 1]) / (2.0 * step)                   # [k, s, i]
+    G = G.transpose(1, 0, 2)
+    return _worst(np.abs(G - fd) / np.maximum(1.0, np.abs(G)))
 
 
 def check_energy_drift(model, rng, steps=300, dt=1e-3):

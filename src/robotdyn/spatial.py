@@ -137,6 +137,12 @@ class Mat33:
                     self.d * v.x + self.e * v.y + self.f * v.z,
                     self.g * v.x + self.h * v.y + self.i * v.z)
 
+    def tmatvec(self, v):
+        """self^T @ v, without building the transpose."""
+        return Vec3(self.a * v.x + self.d * v.y + self.g * v.z,
+                    self.b * v.x + self.e * v.y + self.h * v.z,
+                    self.c * v.x + self.f * v.y + self.i * v.z)
+
     def matmat(self, o):
         return Mat33(
             self.a * o.a + self.b * o.d + self.c * o.g,
@@ -190,10 +196,21 @@ def rot_z(t):
 
 
 def rot_axis_angle(axis, t):
-    """Rodrigues rotation about a unit axis by angle t."""
-    k = Mat33.skew(axis)
-    kk = k.matmat(k)
-    return Mat33.identity() + k.scale(ad.sin(t)) + kk.scale(1.0 - ad.cos(t))
+    """Rodrigues rotation about a unit axis by angle t: E + sin(t) K + (1 - cos(t)) K^2
+    with K = skew(axis); each entry is summed in that order, and K^2 as
+    ``Mat33.matmat`` sums it."""
+    a, b, c, d, e, f, g, h, i = 0.0, -axis.z, axis.y, axis.z, 0.0, -axis.x, -axis.y, \
+        axis.x, 0.0
+    s, c1 = ad.sin(t), 1.0 - ad.cos(t)
+    return Mat33(1.0 + a * s + (a * a + b * d + c * g) * c1,
+                 0.0 + b * s + (a * b + b * e + c * h) * c1,
+                 0.0 + c * s + (a * c + b * f + c * i) * c1,
+                 0.0 + d * s + (d * a + e * d + f * g) * c1,
+                 1.0 + e * s + (d * b + e * e + f * h) * c1,
+                 0.0 + f * s + (d * c + e * f + f * i) * c1,
+                 0.0 + g * s + (g * a + h * d + i * g) * c1,
+                 0.0 + h * s + (g * b + h * e + i * h) * c1,
+                 1.0 + i * s + (g * c + h * f + i * i) * c1)
 
 
 class MotionVector:
@@ -296,9 +313,8 @@ class SpatialTransform:
 
     def apply_motion_inv(self, v):
         """Re-express a parent-frame motion vector in the child frame."""
-        rt = self.rot.T()
-        return MotionVector(rt.matvec(v.ang),
-                            rt.matvec(v.lin - self.trans.cross(v.ang)))
+        R = self.rot
+        return MotionVector(R.tmatvec(v.ang), R.tmatvec(v.lin - self.trans.cross(v.ang)))
 
     def apply_force(self, f):
         """Re-express a child-frame force vector in the parent frame."""
@@ -306,9 +322,8 @@ class SpatialTransform:
         return ForceVector(self.rot.matvec(f.ang) + self.trans.cross(F), F)
 
     def apply_force_inv(self, f):
-        rt = self.rot.T()
-        return ForceVector(rt.matvec(f.ang - self.trans.cross(f.lin)),
-                           rt.matvec(f.lin))
+        R = self.rot
+        return ForceVector(R.tmatvec(f.ang - self.trans.cross(f.lin)), R.tmatvec(f.lin))
 
     def __repr__(self):
         return f"SpatialTransform({self.rot}, {self.trans})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import Mat33, SpatialInertia, Vec3, parallel_axis_term, \
+from .spatial import Mat33, MotionVector, SpatialInertia, Vec3, parallel_axis_term, \
     xform_from_rpy_xyz
 
 
@@ -292,8 +292,8 @@ class Body:
     """One moving rigid body: the links behind one movable joint, up to the
     next movable joints.  Body ``i`` carries joint coordinate ``i``."""
 
-    __slots__ = ("name", "parent", "joint_name", "joint_type", "axis", "origin",
-                 "inertia", "limit_lower", "limit_upper")
+    __slots__ = ("name", "parent", "joint_name", "joint_type", "axis", "subspace",
+                 "origin", "inertia", "limit_lower", "limit_upper")
 
     def __init__(self, name, parent, joint, origin, inertia):
         self.name = name
@@ -301,6 +301,11 @@ class Body:
         self.joint_name = joint.name
         self.joint_type = joint.type
         self.axis = Vec3.fromlist(joint.axis)
+        # joint motion subspace in body coordinates
+        if joint.type == "prismatic":
+            self.subspace = MotionVector(Vec3.zero(), self.axis)
+        else:
+            self.subspace = MotionVector(self.axis, Vec3.zero())
         self.origin = origin
         self.inertia = inertia
         self.limit_lower = joint.limit_lower

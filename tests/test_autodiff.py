@@ -160,6 +160,26 @@ def test_jacobian_fwd_constant_row_is_zero():
     np.testing.assert_allclose(J, [[3, 2], [0, 0]])
 
 
+def test_jacobian_rev_rows_equal_gradients_of_each_output(six_dof):
+    # one tape, one backward sweep per output: each row is bit-identical to
+    # the gradient of that output recorded on its own tape
+    n = six_dof.n
+    rng = np.random.default_rng(3)
+    x = list(rng.uniform(-1.0, 1.0, 3 * n))
+
+    def f(xs):
+        return rd.rnea(six_dof, xs[:n], xs[n:2 * n], xs[2 * n:])
+
+    J = ad.jacobian_rev(f, x)
+    assert J.shape == (n, 3 * n)
+    for k in range(n):
+        assert J[k].tobytes() == ad.gradient(lambda xs: f(xs)[k], x).tobytes()
+    np.testing.assert_allclose(ad.jacobian_rev(lambda xs: [xs[0] * xs[1], 4.0], [2.0, 3.0]),
+                               [[3, 2], [0, 0]])
+    with pytest.raises(ad.NonFiniteError):
+        ad.jacobian_rev(lambda xs: [xs[0], 1.0 / xs[0]], [0.0])
+
+
 BATCH = np.array([0.5, -1.5, 2.0, -0.25])
 
 # One scalar function of (x, y, z) per operation; points are drawn from

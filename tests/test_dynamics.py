@@ -343,6 +343,59 @@ def test_mass_fixed_to_the_base_changes_no_dynamics():
 
 
 # ---------------------------------------------------------------------------
+# numpy batches: state entries that are arrays evaluate every sample at once
+
+# branching, with revolute, continuous, prismatic and fixed joints
+BRANCHED_TREE = (
+    [("base", None), _box_link("l1", 2.0, (0.1, 0.0, 0.2), (0.3, 0.0, 0.1)),
+     _box_link("l2", 1.0, (0.2, 0.05, 0.0)), _box_link("l3", 0.8, (0.0, 0.1, 0.1)),
+     _box_link("l4", 0.5, (0.05, 0.0, 0.02), (0.0, 0.4, 0.0)), ("tip", None)],
+    [("j1", "continuous", "base", "l1", (0, 0, 0.3), (0, 0, 0.2), (0, 0, 1)),
+     ("j2", "revolute", "l1", "l2", (0.2, 0.1, 0), (0.1, 0, 0), (0, 0.6, 0.8)),
+     ("j3", "prismatic", "l1", "l3", (0, -0.2, 0.1), (0, 0.3, 0), (1, 0, 0)),
+     ("j4", "continuous", "l3", "l4", (0.3, 0, 0), (0, 0, 0.5), (0, 1, 0)),
+     ("j5", "fixed", "l2", "tip", (0.4, 0, 0), (0, 0, 0), (0, 0, 1))])
+
+
+def _batch_model(name):
+    if name == "branched":
+        return rd.build_model(rd.parse_urdf(urdf_text(name, *BRANCHED_TREE)))
+    return rd.load_model(rd.fixture_path(name))
+
+
+@pytest.mark.parametrize("name", ["pendulum", "two_link_planar", "six_dof_arm", "branched"])
+def test_batched_forward_dynamics_equals_scalar_calls_bit_for_bit(name):
+    model = _batch_model(name)
+    rng = np.random.default_rng(21)
+    states = [random_state(model, rng) for _ in range(7)]
+    q, qd, tau = (list(np.array(x).T) for x in zip(*states))
+    for fn in (aba, forward_dynamics_cholesky):
+        batch = np.array(np.broadcast_arrays(*fn(model, q, qd, tau)))
+        scalar = np.array([fn(model, list(a), list(b), list(c)) for a, b, c in states]).T
+        assert batch.tobytes() == scalar.tobytes(), fn.__name__
+
+
+def test_batched_forward_dynamics_singular_sample_names_the_joint(two_link):
+    # sample 2 of 4 gives the last link no inertia at all
+    scale = np.array([1.0, 1.0, 0.0, 1.0])
+    *inner, last = two_link.inertias()
+    inertias = inner + [SpatialInertia(last.mass * scale, last.com,
+                                       last.rot_inertia.scale(scale))]
+    q, qd, tau = ([np.full(4, v), np.full(4, -v)] for v in (0.3, 0.5, 0.1))
+    with pytest.raises(DynamicsError) as exc:
+        aba(two_link, q, qd, tau, inertias=inertias)
+    assert "joint 'elbow'" in str(exc.value) and "(axis inertia 0)" in str(exc.value)
+    with pytest.raises(DynamicsError, match="not positive definite"):
+        forward_dynamics_cholesky(two_link, q, qd, tau, inertias=inertias)
+    keep = [0, 1, 3]
+    ok = [SpatialInertia(last.mass * scale[keep], last.com,
+                         last.rot_inertia.scale(scale[keep]))]
+    qdd = aba(two_link, [x[keep] for x in q], [x[keep] for x in qd],
+              [x[keep] for x in tau], inertias=inner + ok)
+    assert np.all(np.isfinite(qdd))
+
+
+# ---------------------------------------------------------------------------
 # differentiability
 
 
@@ -460,6 +513,53 @@ def test_simulate_rejects_bad_arguments(pendulum):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 0)
     with pytest.raises(ValueError):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 10, integrator="euler")
+
+
+def _reference_rollout(model, q, qd, torque_fn, dt, steps, integrator):
+    """Fixed-step rollout calling ``torque_fn`` and ``aba`` at every stage,
+    RK4's first one included."""
+    def accel(t, q, qd):
+        return np.array(aba(model, list(q), list(qd), list(torque_fn(t, q, qd))))
+
+    q, qd = np.asarray(q, dtype=float), np.asarray(qd, dtype=float)
+    traj = [(0.0, q, qd, accel(0.0, q, qd))]
+    t = 0.0
+    for _ in range(steps):
+        if integrator == "semi-implicit-euler":
+            qd = qd + dt * accel(t, q, qd)
+            q = q + dt * qd
+        else:
+            k1q, k1v = qd, accel(t, q, qd)
+            k2q, k2v = qd + 0.5 * dt * k1v, accel(t + 0.5 * dt, q + 0.5 * dt * k1q,
+                                                  qd + 0.5 * dt * k1v)
+            k3q, k3v = qd + 0.5 * dt * k2v, accel(t + 0.5 * dt, q + 0.5 * dt * k2q,
+                                                  qd + 0.5 * dt * k2v)
+            k4q, k4v = qd + dt * k3v, accel(t + dt, q + dt * k3q, qd + dt * k3v)
+            q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t += dt
+        traj.append((t, q, qd, accel(t, q, qd)))
+    return traj
+
+
+@pytest.mark.parametrize("integrator,stages", [("rk4", 4), ("semi-implicit-euler", 1)])
+def test_simulate_evaluates_each_stage_once(six_dof, integrator, stages):
+    calls = [0]
+
+    def damping(t, q, qd):
+        calls[0] += 1
+        return -0.5 * qd + 0.1 * np.sin(t)
+
+    q0, qd0 = np.linspace(-0.4, 0.5, 6), np.linspace(0.8, -0.3, 6)
+    steps = 25
+    traj = simulate(six_dof, q0, qd0, damping, 2e-3, steps, integrator=integrator)
+    assert calls[0] == 1 + stages * steps
+    want = _reference_rollout(six_dof, q0, qd0, damping, 2e-3, steps, integrator)
+    assert len(traj) == len(want)
+    for got, ref in zip(traj, want):
+        assert got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:]):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_simulate_nonfinite_torque_names_the_step(pendulum):

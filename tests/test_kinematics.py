@@ -124,6 +124,15 @@ def test_jacobian_matches_finite_difference(two_link, six_dof):
                                            atol=1e-6)
 
 
+def test_jacobian_of_a_batch_stacks_per_sample_jacobians(six_dof):
+    rng = np.random.default_rng(8)
+    qs = rng.uniform(-np.pi, np.pi, size=(6, 5))
+    J = link_jacobian(six_dof, list(qs), "tool")
+    assert J.shape == (6, 6, 5)
+    for s in range(5):
+        assert J[:, :, s].tobytes() == link_jacobian(six_dof, list(qs[:, s]), "tool").tobytes()
+
+
 def test_jacobian_shape_and_unknown_link(two_link):
     assert link_jacobian(two_link, [0.1, 0.2], "link1").shape == (6, 2)
     with pytest.raises(KeyError):

@@ -1,0 +1,195 @@
+"""The batched oracles of ``robot check`` against per-state references.
+
+Each ``_ref_*`` function below evaluates one sampled check the way the suite
+did before it was batched: one scalar call per state (per column for the
+finite-difference checks), drawing the states from ``rng`` in the same
+order.  The batched checks must return the same error, bit for bit, on the
+dynamics fixtures and on random trees.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import robotdyn as rd
+from robotdyn import autodiff as ad
+from robotdyn import selfcheck
+from robotdyn.dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea
+from robotdyn.kinematics import forward_kinematics, link_jacobian
+from conftest import urdf_text
+from test_random_trees import robot_trees
+
+_random_state = selfcheck._random_state
+
+
+def _rel_inf(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
+
+
+def _ref_aba_rnea_roundtrip(model, rng, n_states):
+    err = 0.0
+    for _ in range(n_states):
+        q, qd, tau = _random_state(model, rng)
+        qdd = aba(model, list(q), list(qd), list(tau))
+        back = rnea(model, list(q), list(qd), qdd)
+        err = max(err, _rel_inf(back, tau))
+    return err
+
+
+def _ref_crba_columns(model, rng, n_states):
+    err = 0.0
+    zero = [0.0] * model.n
+    for _ in range(n_states):
+        q, _, _ = _random_state(model, rng)
+        M = np.asarray(mass_matrix(model, list(q)))
+        for j in range(model.n):
+            ej = [0.0] * model.n
+            ej[j] = 1.0
+            col = rnea(model, list(q), zero, ej, gravity=(0.0, 0.0, 0.0))
+            err = max(err, float(np.max(np.abs(M[:, j] - np.asarray(col)))))
+    return err
+
+
+def _ref_aba_vs_cholesky(model, rng, n_states):
+    err = 0.0
+    for _ in range(n_states):
+        q, qd, tau = _random_state(model, rng)
+        a1 = aba(model, list(q), list(qd), list(tau))
+        a2 = forward_dynamics_cholesky(model, list(q), list(qd), list(tau))
+        err = max(err, _rel_inf(a1, a2))
+    return err
+
+
+def _ref_mass_matrix_symmetry(model, rng, n_states):
+    err = 0.0
+    for _ in range(n_states):
+        q, _, _ = _random_state(model, rng)
+        M = np.asarray(mass_matrix(model, list(q)))
+        err = max(err, float(np.max(np.abs(M - M.T))))
+    return err
+
+
+def _ref_mass_matrix_pd(model, rng, n_states):
+    for _ in range(n_states):
+        q, _, _ = _random_state(model, rng)
+        M = np.asarray(mass_matrix(model, list(q)))
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return 1.0
+    return 0.0
+
+
+def _ref_jacobian_fd(model, rng, n_states, step=1e-6):
+    link = model.link_names()[-1]
+    err = 0.0
+    for _ in range(n_states):
+        q, _, _ = _random_state(model, rng)
+        J = link_jacobian(model, list(q), link)
+        for j in range(model.n):
+            qp, qm = q.copy(), q.copy()
+            qp[j] += step
+            qm[j] -= step
+            pp = forward_kinematics(model, list(qp))[link]
+            pm = forward_kinematics(model, list(qm))[link]
+            fd_lin = (np.array(pp.position.values()) - np.array(pm.position.values())) \
+                / (2.0 * step)
+            Rp = np.array(pp.rotation.values())
+            Rm = np.array(pm.rotation.values())
+            dR = (Rp - Rm) / (2.0 * step)
+            W = dR @ np.array(forward_kinematics(model, list(q))[link].rotation.values()).T
+            fd_ang = np.array([W[2, 1], W[0, 2], W[1, 0]])
+            err = max(err, float(np.max(np.abs(J[3:6, j] - fd_lin))),
+                      float(np.max(np.abs(J[0:3, j] - fd_ang))))
+    return err
+
+
+def _ref_ad_vs_fd(model, rng, n_states, step=1e-6):
+    n = model.n
+    err = 0.0
+    for _ in range(n_states):
+        q, qd, tau = _random_state(model, rng)
+        x0 = np.concatenate([q, qd, tau])
+
+        def tau_out(xs, k):
+            out = rnea(model, xs[:n], xs[n:2 * n], xs[2 * n:])
+            return out[k]
+
+        for k in range(n):
+            g = ad.gradient(lambda xs: tau_out(xs, k), list(x0))
+            for i in range(3 * n):
+                xp, xm = x0.copy(), x0.copy()
+                xp[i] += step
+                xm[i] -= step
+                fd = (tau_out(list(xp), k) - tau_out(list(xm), k)) / (2.0 * step)
+                err = max(err, abs(g[i] - fd) / max(1.0, abs(g[i])))
+    return err
+
+
+REFERENCES = {
+    "aba_rnea_roundtrip": _ref_aba_rnea_roundtrip,
+    "crba_columns": _ref_crba_columns,
+    "aba_vs_cholesky": _ref_aba_vs_cholesky,
+    "mass_matrix_symmetry": _ref_mass_matrix_symmetry,
+    "mass_matrix_positive_definite": _ref_mass_matrix_pd,
+    "jacobian_vs_finite_difference": _ref_jacobian_fd,
+    "gradient_vs_finite_difference": _ref_ad_vs_fd,
+}
+CHECK_FNS = {name: fn for name, fn, _ in selfcheck.CHECKS}
+
+
+def _assert_same_as_reference(model, seed, n_states, grad_states):
+    for name, ref in REFERENCES.items():
+        k = grad_states if name == "gradient_vs_finite_difference" else n_states
+        got = CHECK_FNS[name](model, np.random.default_rng(seed), k)
+        want = ref(model, np.random.default_rng(seed), k)
+        assert float(got) == float(want), f"{name}: batched {got!r}, per state {want!r}"
+
+
+def test_every_sampled_check_has_a_reference():
+    assert sorted(REFERENCES) == sorted(n for n in CHECK_FNS if n != "energy_drift")
+
+
+@pytest.mark.parametrize("fixture", ["pendulum", "two_link_planar", "six_dof_arm"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_batched_checks_equal_per_state_reference(fixture, seed):
+    model = rd.load_model(rd.fixture_path(fixture))
+    _assert_same_as_reference(model, seed, n_states=20, grad_states=3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(robot_trees())
+def test_batched_checks_equal_per_state_reference_on_random_trees(tree):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    _assert_same_as_reference(model, 5, n_states=4, grad_states=1)
+
+
+def test_mass_matrix_pd_reports_an_indefinite_sample():
+    # a leaf with no rotational inertia about a revolute axis through its CoM
+    # gives a singular mass matrix at every configuration
+    links = [("base", None), ("l1", (1.0, (0.1, 0.0, 0.0), (0, 0, 0), (0.01, 0.0, 0.0,
+                                                                      0.01, 0.0, 0.01))),
+             ("l2", (1.0, (0.0, 0.0, 0.0), (0, 0, 0), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)))]
+    joints = [("j1", "continuous", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
+              ("j2", "continuous", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
+    model = rd.build_model(rd.parse_urdf(urdf_text("flat_leaf", links, joints)))
+    rng = np.random.default_rng(0)
+    assert selfcheck.check_mass_matrix_pd(model, rng, 5) == 1.0
+    assert _ref_mass_matrix_pd(model, np.random.default_rng(0), 5) == 1.0
+
+
+def test_jacobian_check_evaluates_fk_at_most_twice_per_state(six_dof, monkeypatch):
+    calls = [0]
+    fk = selfcheck.forward_kinematics
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fk(*args, **kwargs)
+
+    monkeypatch.setattr(selfcheck, "forward_kinematics", counting)
+    n_states = 20
+    selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), n_states)
+    assert 0 < calls[0] <= 2 * n_states
+

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robotdyn import autodiff as ad
 from robotdyn.spatial import (
     ForceVector,
     Mat33,
@@ -132,6 +133,41 @@ def test_rot_axis_angle_matches_elementary_rotations():
                        (v3(0, 0, 1), rot_z(t))):
         np.testing.assert_allclose(rot_axis_angle(axis, t).values(),
                                    elem.values(), atol=1e-15)
+
+
+def test_rot_axis_angle_equals_its_matrix_form_bit_for_bit():
+    # the single-matrix build sums each entry as E + sin(t) K + (1 - cos(t)) K^2
+    # does, so the result and the gradient of every entry are unchanged
+    rng = np.random.default_rng(4)
+    axes = [v3(1, 0, 0), v3(0, -1, 0), v3(0, 0, 1)]
+    for _ in range(20):
+        a = rng.normal(size=3)
+        axes.append(Vec3.fromlist(list(a / np.linalg.norm(a))))
+    for axis in axes:
+        k = Mat33.skew(axis)
+        kk = k.matmat(k)
+
+        def matrix_form(t):
+            return Mat33.identity() + k.scale(ad.sin(t)) + kk.scale(1.0 - ad.cos(t))
+
+        t = rng.uniform(-np.pi, np.pi)
+        assert rot_axis_angle(axis, t).rows() == matrix_form(t).rows()
+        for entry in range(9):
+            grads = [ad.gradient(lambda ts: f(ts[0]).rows()[entry // 3][entry % 3], [t])
+                     for f in (lambda x: rot_axis_angle(axis, x), matrix_form)]
+            assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_transpose_products_match_explicit_transpose():
+    rng = np.random.default_rng(6)
+    M = Mat33(*rng.normal(size=9))
+    v = v3(*rng.normal(size=3))
+    assert M.tmatvec(v).values() == M.T().matvec(v).values()
+    X = random_transform(rng)
+    m = MotionVector(v3(*rng.normal(size=3)), v3(*rng.normal(size=3)))
+    rt = X.rot.T()
+    want = MotionVector(rt.matvec(m.ang), rt.matvec(m.lin - X.trans.cross(m.ang)))
+    assert X.apply_motion_inv(m).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
