@@ -143,14 +143,13 @@ class _Scalar:
     def __truediv__(self, other):
         if isinstance(other, _Scalar):
             inv = _div(1.0, other.value)
-            q = self.value * inv
+            q = _div(self.value, other.value)
             return self._new(q, "div", ((self, inv), (other, -q * inv)))
-        inv = _div(1.0, other)
-        return self._new(self.value * inv, "div", ((self, inv),))
+        return self._new(_div(self.value, other), "div", ((self, _div(1.0, other)),))
 
     def __rtruediv__(self, other):
         inv = _div(1.0, self.value)
-        q = other * inv
+        q = _div(other, self.value)
         return self._new(q, "rdiv", ((self, -q * inv),))
 
     def __neg__(self):

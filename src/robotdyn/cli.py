@@ -175,10 +175,7 @@ def cmd_info(args):
 def cmd_fk(args):
     model = _load_model(args.urdf, kinematics_only=True)
     q = _vec_n(args, "q", model.n)
-    try:
-        pose = forward_kinematics(model, q)[args.link]
-    except KeyError as e:
-        raise CliError(str(e))
+    pose = forward_kinematics(model, q)[args.link]
     R = pose.rotation.values()
     payload = {"link": args.link,
                "position": pose.position.values(),
@@ -193,10 +190,7 @@ def cmd_fk(args):
 def cmd_jac(args):
     model = _load_model(args.urdf, kinematics_only=True)
     q = _vec_n(args, "q", model.n)
-    try:
-        J = link_jacobian(model, q, args.link)
-    except KeyError as e:
-        raise CliError(str(e))
+    J = link_jacobian(model, q, args.link)
     payload = {"link": args.link, "rows": 6, "cols": model.n,
                "jacobian": [float(x) for x in J.reshape(-1)]}
     lines = [f"link: {args.link}"] + [f"  {list(row)}" for row in J]
@@ -236,11 +230,8 @@ def cmd_ik(args):
     else:
         raise CliError("--target: expected 3 values (position) or 12 "
                        "(rotation row-major then position)")
-    try:
-        res = inverse_kinematics(model, target, args.link, q0,
-                                 max_iters=args.max_iters, seed=args.seed)
-    except KeyError as e:
-        raise CliError(str(e))
+    res = inverse_kinematics(model, target, args.link, q0,
+                             max_iters=args.max_iters, seed=args.seed)
     payload = {"q": [float(x) for x in res.q], "converged": res.converged,
                "residual": float(res.residual), "iterations": res.iterations,
                "restarts": res.restarts, "backtracks": res.backtracks}
@@ -252,11 +243,8 @@ def cmd_ik(args):
 
 def cmd_gen_data(args):
     model = _load_model(args.urdf)
-    try:
-        ds = learn_mod.generate_dataset(model, args.n, gravity=_gravity(args),
-                                        seed=args.seed, noise_std=args.noise_std)
-    except ValueError as e:
-        raise CliError(str(e))
+    ds = learn_mod.generate_dataset(model, args.n, gravity=_gravity(args),
+                                    seed=args.seed, noise_std=args.noise_std)
     try:
         ds.save_jsonl(args.out)
     except OSError as e:
@@ -270,11 +258,8 @@ def _parse_learn_spec(spec):
     entries = []
     for part in spec.split(","):
         fields = part.split(":")
-        if len(fields) == 2:
-            fields.append(None)
-        if len(fields) != 3 or not fields[0] or not fields[1]:
-            raise CliError(f"--learn: malformed spec '{part}' "
-                           f"(expected link:field[:kind])")
+        if len(fields) != 2 or not all(fields):
+            raise CliError(f"--learn: malformed spec '{part}' (expected link:field)")
         entries.append(tuple(fields))
     return entries
 
@@ -285,22 +270,17 @@ def cmd_sysid(args):
         ds = learn_mod.TrajectoryDataset.load_jsonl(args.data)
     except OSError as e:
         raise CliError(f"cannot read {args.data}: {e}")
-    except ValueError as e:
-        raise CliError(str(e))
     if ds.n_joints != model.n:
         raise CliError(f"dataset has {ds.n_joints} DoF, model has {model.n}")
     store = learn_mod.ParamStore(model)
-    for link, field, kind in _parse_learn_spec(args.learn):
+    for link, field in _parse_learn_spec(args.learn):
         try:
-            store.make_learnable(link, field, kind)
+            store.make_learnable(link, field)
         except (KeyError, ValueError) as e:
             raise CliError(f"--learn: {e}")
-    try:
-        report = learn_mod.fit(store, ds, optimizer=args.optimizer,
-                               learning_rate=args.lr, epochs=args.epochs,
-                               gravity=_gravity(args), seed=args.seed)
-    except RuntimeError as e:
-        raise CliError(str(e), code=EXIT_RUNTIME)
+    report = learn_mod.fit(store, ds, optimizer=args.optimizer,
+                           learning_rate=args.lr, epochs=args.epochs,
+                           gravity=_gravity(args), seed=args.seed)
     payload = {"loss_curve": report.losses, "final_loss": report.final_loss,
                "final_params": report.final_params, "iterations": report.iterations,
                "converged": report.converged, "stop_reason": report.stop_reason}
@@ -384,7 +364,9 @@ def build_parser():
     sysid = common(sub.add_parser("sysid", help="identify parameters from data"))
     sysid.add_argument("--data", required=True, help="JSONL dataset path")
     sysid.add_argument("--learn", required=True,
-                       help="spec link:field[:kind],... e.g. bob:mass:positive_scalar")
+                       help="comma-separated link:field pairs, field one of mass "
+                            "(softplus), com (free) or rot_inertia (Cholesky SPD), "
+                            "e.g. link1:mass,link1:com")
     sysid.add_argument("--epochs", type=int, default=1000)
     sysid.add_argument("--lr", type=float, default=0.01)
     sysid.add_argument("--optimizer", choices=("gd", "adam"), default="adam")

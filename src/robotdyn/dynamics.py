@@ -24,10 +24,6 @@ from .spatial import ForceVector, Mat33, MotionVector, SpatialInertia, Vec3, \
 DEFAULT_GRAVITY = Vec3(0.0, 0.0, -9.81)
 
 
-class _NonFiniteState(Exception):
-    """Internal: a simulation step produced or received a non-finite state."""
-
-
 class DynamicsError(RuntimeError):
     """Dynamics computation impossible on this model or state."""
 
@@ -322,8 +318,11 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None,
     including the initial state.  Each step starts from the ``qdd`` of the
     sample before it, so ``torque_fn`` and the articulated-body solver run
     1 + 4·steps times with ``rk4`` and 1 + steps times with
-    ``semi-implicit-euler``.  This is a verification tool, not a production
-    simulator: no contacts, no constraints.
+    ``semi-implicit-euler``.  A non-finite state or torque raises
+    ``DynamicsError`` ("non-finite initial state", or "non-finite state at
+    step i"); ``torque_fn`` never sees a non-finite state.  This is a
+    verification tool, not a production simulator: no contacts, no
+    constraints.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -336,46 +335,37 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None,
     q = np.asarray(q0, dtype=float).copy()
     qd = np.asarray(qd0, dtype=float).copy()
 
-    def accel(t, q, qd):
+    def accel(t, q, qd, where):
+        # the state is checked before torque_fn sees it, the torque after
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
+            raise DynamicsError(f"non-finite {where}")
         tau = torque_fn(t, q, qd) if torque_fn is not None else None
         if tau is None:
             tau = np.zeros(n)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))
-                and np.all(np.isfinite(tau))):
-            raise _NonFiniteState()
+        if not np.all(np.isfinite(tau)):
+            raise DynamicsError(f"non-finite {where}")
         # Python floats: the same arithmetic as numpy scalars, at less cost per operation
         tau = np.asarray(tau, dtype=float)
         return np.array(aba(model, q.tolist(), qd.tolist(), tau.tolist(),
                             gravity=gravity, inertias=inertias))
 
-    try:
-        traj = [(0.0, q.copy(), qd.copy(), accel(0.0, q, qd))]
-    except _NonFiniteState:
-        raise DynamicsError("non-finite initial state") from None
+    traj = [(0.0, q.copy(), qd.copy(), accel(0.0, q, qd, "initial state"))]
     t = 0.0
     for step_idx in range(steps):
-        try:
-            qdd = traj[-1][3]  # accel(t, q, qd)
-            if integrator == "semi-implicit-euler":
-                qd = qd + dt * qdd
-                q = q + dt * qd
-            else:
-                k1q, k1v = qd, qdd
-                k2q, k2v = qd + 0.5 * dt * k1v, accel(t + 0.5 * dt,
-                                                      q + 0.5 * dt * k1q,
-                                                      qd + 0.5 * dt * k1v)
-                k3q, k3v = qd + 0.5 * dt * k2v, accel(t + 0.5 * dt,
-                                                      q + 0.5 * dt * k2q,
-                                                      qd + 0.5 * dt * k2v)
-                k4q, k4v = qd + dt * k3v, accel(t + dt, q + dt * k3q,
-                                                qd + dt * k3v)
-                q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-                qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            t += dt
-            if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qd))):
-                raise _NonFiniteState()
-            traj.append((t, q.copy(), qd.copy(), accel(t, q, qd)))
-        except _NonFiniteState:
-            raise DynamicsError(
-                f"non-finite state at step {step_idx}") from None
+        where = f"state at step {step_idx}"
+        qdd = traj[-1][3]  # accel(t, q, qd)
+        if integrator == "semi-implicit-euler":
+            qd = qd + dt * qdd
+            q = q + dt * qd
+        else:
+            k1q, k1v = qd, qdd
+            k2q, k2v = qd + 0.5 * dt * k1v, accel(t + 0.5 * dt, q + 0.5 * dt * k1q,
+                                                  qd + 0.5 * dt * k1v, where)
+            k3q, k3v = qd + 0.5 * dt * k2v, accel(t + 0.5 * dt, q + 0.5 * dt * k2q,
+                                                  qd + 0.5 * dt * k2v, where)
+            k4q, k4v = qd + dt * k3v, accel(t + dt, q + dt * k3q, qd + dt * k3v, where)
+            q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+            qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        t += dt
+        traj.append((t, q.copy(), qd.copy(), accel(t, q, qd, where)))
     return traj

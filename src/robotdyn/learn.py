@@ -3,9 +3,9 @@
 Selected inertial fields (mass, CoM, rotational inertia) are exposed to an
 optimizer through constrained parametrizations mapping unconstrained raw
 vectors to valid physical values, so no optimizer step can produce invalid
-physics: mass stays positive (softplus), the rotational inertia stays
-symmetric positive definite (Cholesky factor with softplus diagonal plus a
-small diagonal floor).
+physics: mass stays positive (softplus), the CoM is free, and the rotational
+inertia stays symmetric positive definite (Cholesky factor with softplus
+diagonal plus a small diagonal floor).
 
 Identification minimizes a torque-regression loss: mean squared difference
 between inverse-dynamics torques predicted with the mapped parameters and
@@ -79,71 +79,26 @@ def spd_init(target):
             float(L[2, 1])]
 
 
-class PositiveScalar:
-    """Softplus-constrained positive scalar (e.g. a mass)."""
-
-    size = 1
-
-    def init_raw(self, current):
-        return [positive_scalar_init(float(current))]
-
-    def map(self, raw):
-        return positive_scalar_map(raw[0])
-
-    def physical(self, raw):
-        return float(ad.value(self.map(raw)))
-
-
-class FreeVector3:
-    """Unconstrained 3-vector (e.g. a centre of mass)."""
-
-    size = 3
-
-    def init_raw(self, current):
-        return [float(current.x), float(current.y), float(current.z)]
-
-    def map(self, raw):
-        return Vec3(raw[0], raw[1], raw[2])
-
-    def physical(self, raw):
-        return [float(ad.value(v)) for v in raw]
-
-
-class SpdMatrix3:
-    """Symmetric positive-definite 3x3 (a rotational inertia)."""
-
-    size = 6
-
-    def init_raw(self, current):
-        return spd_init(current)
-
-    def map(self, raw):
-        return spd_map(raw)
-
-    def physical(self, raw):
-        return self.map([float(ad.value(r)) for r in raw]).values()
-
-
-PARAM_KINDS = {
-    "positive_scalar": PositiveScalar,
-    "free_vector3": FreeVector3,
-    "spd_matrix3": SpdMatrix3,
+# Each learnable field: its raw size, the raw vector reproducing a model value,
+# and the map from a raw vector to a valid value
+_FIELDS = {
+    "mass": (1, lambda mass: [positive_scalar_init(float(mass))],
+             lambda raw: positive_scalar_map(raw[0])),
+    "com": (3, lambda com: [float(com.x), float(com.y), float(com.z)],
+            lambda raw: Vec3(raw[0], raw[1], raw[2])),
+    "rot_inertia": (6, spd_init, spd_map),
 }
-
-_FIELD_KINDS = {"mass": "positive_scalar", "com": "free_vector3",
-                "rot_inertia": "spd_matrix3"}
 
 
 @dataclass
 class _Entry:
     body: int
     field: str
-    param: object
     offset: int
 
 
 class ParamStore:
-    """Registry of learnable (body, field) parametrizations with a flat raw view."""
+    """Registry of learnable (body, field) pairs with a flat raw view."""
 
     def __init__(self, model):
         if model.kinematics_only:
@@ -154,30 +109,28 @@ class ParamStore:
         self.raw = np.zeros(0)
         self._base_inertias = model.inertias()
 
-    def make_learnable(self, link, field, kind=None):
-        """Register a parametrization, initialized at the model's current value."""
+    def make_learnable(self, link, field):
+        """Register a learnable field, initialized at the model's current value."""
         idx = self.model.body_index(link)
-        if field not in _FIELD_KINDS:
+        if field not in _FIELDS:
             raise ValueError(f"unknown field '{field}' (expected mass/com/rot_inertia)")
-        body = self.model.bodies[idx]
-        for e in self.entries:
-            if e.body == idx and e.field == field:
-                raise ValueError(f"{link}.{field} is already learnable")
-        if kind is None:
-            kind = _FIELD_KINDS[field]
-        if kind not in PARAM_KINDS:
-            raise ValueError(f"unknown parametrization kind '{kind}'")
-        if kind != _FIELD_KINDS[field]:
-            raise ValueError(f"kind '{kind}' cannot parametrize field '{field}'")
-        param = PARAM_KINDS[kind]()
-        raw0 = param.init_raw(getattr(body.inertia, field))
-        self.entries.append(_Entry(idx, field, param, len(self.raw)))
+        if any(e.body == idx and e.field == field for e in self.entries):
+            raise ValueError(f"{link}.{field} is already learnable")
+        _, init, _ = _FIELDS[field]
+        raw0 = init(getattr(self.model.bodies[idx].inertia, field))
+        self.entries.append(_Entry(idx, field, len(self.raw)))
         self.raw = np.concatenate([self.raw, np.asarray(raw0, dtype=float)])
         return self
 
     @property
     def size(self):
         return len(self.raw)
+
+    def _mapped(self, raw):
+        """(entry, field value mapped from its raw chunk) for every entry."""
+        for e in self.entries:
+            size, _, map_ = _FIELDS[e.field]
+            yield e, map_(list(raw[e.offset:e.offset + size]))
 
     def inertias(self, raw=None):
         """Per-body inertias with learnable fields mapped from ``raw``.
@@ -189,15 +142,14 @@ class ParamStore:
             raw = list(self.raw)
         out = list(self._base_inertias)
         touched = {}
-        for e in self.entries:
-            chunk = list(raw[e.offset:e.offset + e.param.size])
-            touched.setdefault(e.body, {})[e.field] = e.param.map(chunk)
+        for e, value in self._mapped(raw):
+            touched.setdefault(e.body, {})[e.field] = value
         for body, fields in touched.items():
             base = self._base_inertias[body]
             mass = fields.get("mass", base.mass)
             com = fields.get("com", base.com)
             if "rot_inertia" in fields:
-                # the SPD parametrization owns the full origin-referenced tensor
+                # the SPD map owns the full origin-referenced tensor
                 rot = fields["rot_inertia"]
             else:
                 # keep the CoM-referenced part fixed and recompose the
@@ -208,21 +160,17 @@ class ParamStore:
         return out
 
     def physical_values(self, raw=None):
-        """Mapped values keyed 'link.field'."""
-        if raw is None:
-            raw = list(self.raw)
-        vals = {}
-        for e in self.entries:
-            chunk = [float(ad.value(r)) for r in raw[e.offset:e.offset + e.param.size]]
-            vals[f"{self.model.bodies[e.body].name}.{e.field}"] = e.param.physical(chunk)
-        return vals
+        """Mapped float values keyed 'link.field': a mass as a float, a CoM as
+        a 3-list, a rotational inertia as a 3x3 nested list."""
+        raw = [float(ad.value(r)) for r in (self.raw if raw is None else raw)]
+        return {f"{self.model.bodies[e.body].name}.{e.field}":
+                value.values() if isinstance(value, (Vec3, Mat33)) else float(value)
+                for e, value in self._mapped(raw)}
 
 
-def make_learnable(model, link, field, kind=None, store=None):
-    """Create (or extend) a ParamStore with one learnable (link, field)."""
-    if store is None:
-        store = ParamStore(model)
-    return store.make_learnable(link, field, kind)
+def make_learnable(model, link, field):
+    """A new ParamStore with one learnable (link, field)."""
+    return ParamStore(model).make_learnable(link, field)
 
 
 class TrajectoryDataset:

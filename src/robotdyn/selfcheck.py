@@ -35,8 +35,8 @@ def _random_states(model, rng, n_states):
 
 
 def _worst(errors):
-    """Largest error, folded from 0.0 as ``err = max(err, e)``: a NaN never wins."""
-    return max([0.0, *np.ravel(errors).tolist()])
+    """Largest error, from 0.0 for no errors; NaN if any error is NaN."""
+    return float(np.max(errors, initial=0.0))
 
 
 def _rel_inf(a, b):
@@ -129,8 +129,8 @@ def check_jacobian_fd(model, rng, n_states, step=1e-6):
     W = dR @ Rt[:, None]
     fd_ang = np.stack([W[..., 2, 1], W[..., 0, 2], W[..., 1, 0]])    # [xyz, s, j]
     J = J.transpose(0, 2, 1)                                          # [row, s, j]
-    return _worst(np.fmax(np.max(np.abs(J[3:6] - fd_lin), axis=0),
-                          np.max(np.abs(J[0:3] - fd_ang), axis=0)))
+    return _worst(np.maximum(np.max(np.abs(J[3:6] - fd_lin), axis=0),
+                             np.max(np.abs(J[0:3] - fd_ang), axis=0)))
 
 
 def check_ad_vs_fd(model, rng, n_states, step=1e-6):
@@ -174,7 +174,11 @@ CHECKS = (
 
 
 def run_checks(model, seed=0, n_states=20, grad_states=3):
-    """Run the full oracle suite; returns a report dict (all values finite)."""
+    """Run the full oracle suite; returns a report dict.
+
+    A check whose error is NaN (a route returned NaN) fails, and its
+    ``max_error`` reads NaN.
+    """
     report = {"model": model.name, "dof": model.n, "seed": seed, "checks": {}}
     all_pass = True
     for name, fn, tol in CHECKS:

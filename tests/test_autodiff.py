@@ -327,3 +327,20 @@ def test_modes_agree_on_transcendental(x0):
     g_rev = ad.gradient(f, [x0])
     g_fwd = ad.jacobian_fwd(lambda xs: [f(xs)], [x0])[0]
     np.testing.assert_allclose(g_rev, g_fwd, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("flavour", ["var", "dual"])
+def test_quotient_value_equals_float_division(flavour):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=1000) * 10.0 ** rng.integers(-3, 4, size=1000)
+    b = rng.normal(size=1000) * 10.0 ** rng.integers(-3, 4, size=1000)
+    tape = ad.Tape()
+
+    def lift(v):
+        return tape.var(v) if flavour == "var" else ad.Dual(v, (1.0,))
+
+    for x, y in zip(a.tolist(), b.tolist()):
+        for got in (lift(x) / lift(y), lift(x) / y, x / lift(y)):
+            assert ad.value(got) == x / y, (x, y)
+    for got in (lift(a) / lift(b), lift(a) / b, a / lift(b)):
+        assert ad.value(got).tobytes() == (a / b).tobytes()

@@ -261,7 +261,7 @@ def test_sysid_recovers_mass(capsys, tmp_path):
     assert code == 0
     code, doc, _ = run_json(capsys, "sysid", fx("pendulum_mass2"),
                             "--data", str(data),
-                            "--learn", "bob:mass:positive_scalar",
+                            "--learn", "bob:mass",
                             "--epochs", "500", "--lr", "0.05")
     assert code == 0
     np.testing.assert_allclose(doc["final_params"]["bob.mass"], 1.0,
@@ -289,6 +289,16 @@ def test_sysid_missing_link_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
                          "--learn", "ghost:mass")
     assert code == 2
+
+
+def test_sysid_learn_spec_has_no_kind_part(capsys, tmp_path):
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out", str(data))
+    code, out, err = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
+                             "--learn", "bob:mass:positive_scalar")
+    assert (code, out) == (2, "")
+    assert err == ("error: --learn: malformed spec 'bob:mass:positive_scalar' "
+                   "(expected link:field)\n")
 
 
 def test_sysid_empty_data_exits_2(capsys, tmp_path):
@@ -336,6 +346,44 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "fk", fx("pendulum"))[0] == 2  # missing --link
     assert main([]) == 2  # no subcommand
     assert main(["not-a-command"]) == 2
+
+
+# argv (fixture names stand for their paths, {tmp} for a scratch directory
+# holding bad.jsonl, empty.jsonl and a 20-record pendulum dataset), then the
+# exit code and the one stderr line
+ERROR_CASES = {
+    "fk_unknown_link": (["fk", "two_link_planar", "--link", "ghost"], 2,
+                        "error: 'ghost'"),
+    "jac_unknown_link": (["jac", "two_link_planar", "--link", "ghost"], 2,
+                         "error: \"unknown link 'ghost'\""),
+    "ik_unknown_link": (["ik", "two_link_planar", "--link", "ghost",
+                         "--target", "0.1,0.1,0"], 2,
+                        "error: \"unknown link 'ghost'\""),
+    "gen_data_no_records": (["gen-data", "pendulum", "--n", "0", "--out", "{tmp}/x.jsonl"],
+                            2, "error: n_samples must be >= 1"),
+    "sysid_malformed_data": (["sysid", "pendulum", "--data", "{tmp}/bad.jsonl",
+                              "--learn", "bob:mass"], 2,
+                             "error: {tmp}/bad.jsonl:1: bad JSON: Expecting ',' "
+                             "delimiter: line 1 column 12 (char 11)"),
+    "sysid_empty_data": (["sysid", "pendulum", "--data", "{tmp}/empty.jsonl",
+                          "--learn", "bob:mass"], 2, "error: {tmp}/empty.jsonl: empty dataset"),
+    "sysid_diverges": (["sysid", "pendulum_mass2", "--data", "{tmp}/train.jsonl",
+                        "--learn", "bob:com", "--optimizer", "gd", "--lr", "1e6",
+                        "--epochs", "50"], 1,
+                       "error: training diverged at epoch 1 (loss 1.22616e+34)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_exit_code_and_message(capsys, tmp_path, case):
+    (tmp_path / "bad.jsonl").write_text('{"q": [0.0]\n')
+    (tmp_path / "empty.jsonl").write_text("")
+    assert run_cli(capsys, "gen-data", fx("pendulum"), "--n", "20", "--seed", "16",
+                   "--out", str(tmp_path / "train.jsonl"))[0] == 0
+    argv, want_code, want_err = ERROR_CASES[case]
+    argv = [argv[0], fx(argv[1])] + [a.format(tmp=tmp_path) for a in argv[2:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (want_code, "", want_err.format(tmp=tmp_path) + "\n")
 
 
 def test_dumps17_is_repr_exact():

@@ -569,4 +569,20 @@ def test_simulate_nonfinite_torque_names_the_step(pendulum):
     with pytest.raises(DynamicsError) as exc:
         simulate(pendulum, [0.0], [0.0], blow_up, 1e-2, 100,
                  gravity=NO_GRAVITY)
-    assert "step" in str(exc.value)
+    assert str(exc.value) == "non-finite state at step 5"
+
+
+@pytest.mark.parametrize("q0,qd0,tau", [([np.nan], [0.0], 0.0), ([0.0], [np.inf], 0.0),
+                                        ([0.0], [0.0], np.nan)], ids=["q", "qd", "tau"])
+def test_simulate_nonfinite_initial_state(pendulum, q0, qd0, tau):
+    seen = []
+
+    def torque(t, q, qd):
+        seen.append((q, qd))
+        return np.array([tau])
+
+    with pytest.raises(DynamicsError) as exc:
+        simulate(pendulum, q0, qd0, torque, 1e-2, 10, gravity=NO_GRAVITY)
+    assert str(exc.value) == "non-finite initial state"
+    # torque_fn never sees a non-finite state
+    assert all(np.all(np.isfinite(q)) and np.all(np.isfinite(qd)) for q, qd in seen)

@@ -9,6 +9,7 @@ import robotdyn as rd
 from robotdyn import autodiff as ad
 from robotdyn.dynamics import rnea
 from robotdyn.learn import (
+    SPD_EPS,
     ParamStore,
     TrajectoryDataset,
     fit,
@@ -104,18 +105,34 @@ def test_spd_roundtrip_random_spd_matrix():
 # ParamStore
 
 
-def test_make_learnable_init_at_current(pendulum):
-    store = make_learnable(pendulum, "bob", "mass")
-    base = pendulum.inertias()
-    mapped = store.inertias()
-    for a, b in zip(base, mapped):
-        np.testing.assert_allclose(float(ad.value(b.mass)),
-                                   float(ad.value(a.mass)), atol=1e-10)
+@pytest.mark.parametrize("fields", [("mass",), ("com",), ("rot_inertia",),
+                                    ("mass", "com", "rot_inertia")],
+                         ids=["mass", "com", "rot_inertia", "all"])
+def test_make_learnable_init_at_current(six_dof, fields):
+    store = ParamStore(six_dof)
+    for field in fields:
+        store.make_learnable("link3", field)
+    for a, b in zip(six_dof.inertias(), store.inertias()):
+        assert abs(float(ad.value(b.mass)) - float(a.mass)) <= 1e-12
+        np.testing.assert_allclose(b.com.values(), a.com.values(), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.rot_inertia.values(), a.rot_inertia.values(),
+                                   rtol=0, atol=SPD_EPS)
+    vals = store.physical_values()
+    assert list(vals) == [f"link3.{field}" for field in fields]
+    shapes = {"mass": (), "com": (3,), "rot_inertia": (3, 3)}
+    for field in fields:
+        # a float, a 3-list, a 3x3 nested list
+        value = vals[f"link3.{field}"]
+        assert np.shape(value) == shapes[field]
+        assert isinstance(value, float if field == "mass" else list)
+        rows = {"mass": [[value]], "com": [value], "rot_inertia": value}[field]
+        assert all(isinstance(row, list) for row in rows)
+        assert all(type(x) is float for row in rows for x in row)
     # model outputs are unchanged before any optimizer step
-    t1 = rnea(pendulum, [0.4], [0.3], [0.2])
-    t2 = rnea(pendulum, [0.4], [0.3], [0.2], inertias=mapped)
-    np.testing.assert_allclose([float(ad.value(x)) for x in t2], t1,
-                               atol=1e-10)
+    q, qd, qdd = [0.4] * 6, [0.3] * 6, [0.2] * 6
+    t1 = rnea(six_dof, q, qd, qdd)
+    t2 = rnea(six_dof, q, qd, qdd, inertias=store.inertias())
+    np.testing.assert_allclose([float(ad.value(x)) for x in t2], t1, atol=1e-10)
 
 
 def test_make_learnable_unknown_link(pendulum):
@@ -129,11 +146,9 @@ def test_make_learnable_duplicate_registration(pendulum):
         store.make_learnable("bob", "mass")
 
 
-def test_make_learnable_unknown_field_and_kind(pendulum):
+def test_make_learnable_unknown_field(pendulum):
     with pytest.raises(ValueError):
         make_learnable(pendulum, "bob", "friction")
-    with pytest.raises(ValueError):
-        make_learnable(pendulum, "bob", "mass", kind="spd_matrix3")
 
 
 def test_make_learnable_link_without_inertial(two_link):

@@ -193,3 +193,33 @@ def test_jacobian_check_evaluates_fk_at_most_twice_per_state(six_dof, monkeypatc
     selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), n_states)
     assert 0 < calls[0] <= 2 * n_states
 
+
+
+def _heavy_two_link():
+    # valid inertias, but at 1e160 kg the articulated-body sweep overflows
+    # and aba returns NaN instead of raising
+    inertial = (1e160, (0.25, 0.0, 0.0), (0, 0, 0), (1e158, 0.0, 0.0, 1e158, 0.0, 1e158))
+    links = [("base", None), ("l1", inertial), ("l2", inertial)]
+    joints = [("j1", "revolute", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
+              ("j2", "revolute", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
+    return rd.build_model(rd.parse_urdf(urdf_text("heavy", links, joints)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nan_dynamics_error_fails_its_check():
+    model = _heavy_two_link()
+    q, qd, tau = _random_state(model, np.random.default_rng(0))
+    assert np.all(np.isnan(aba(model, list(q), list(qd), list(tau))))
+    for name in ("aba_rnea_roundtrip", "aba_vs_cholesky"):
+        err = CHECK_FNS[name](model, np.random.default_rng(0), 5)
+        assert np.isnan(err), f"{name} returned {err!r}"
+
+
+def test_nan_jacobian_entry_fails_the_jacobian_check(six_dof, monkeypatch):
+    def one_nan(*args, **kwargs):
+        J = link_jacobian(*args, **kwargs)
+        J[0, 0, 0] = np.nan   # an angular row: the second operand of the fold
+        return J
+
+    monkeypatch.setattr(selfcheck, "link_jacobian", one_nan)
+    assert np.isnan(selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), 3))
