@@ -7,6 +7,9 @@ Two scalar flavours are provided:
 * ``Var`` -- reverse mode; every operation appends a node to a ``Tape`` and
   a single backward sweep yields the gradient of a scalar output.
 
+A third, ``tracing.Traced``, records float operations for a straight-line
+kernel; it shares ``_Scalar`` and the elementary functions below.
+
 Each operation is defined once for both: it computes its value and local
 partials and hands them to ``_new(value, op, parents)``, which records a tape
 node (``Var``) or applies the chain rule to the operands' partials (``Dual``).
@@ -14,9 +17,9 @@ node (``Var``) or applies the chain rule to the operands' partials (``Dual``).
 All kinematics/dynamics code in this package is written against ordinary
 arithmetic operators plus the module-level functions ``sin``, ``cos``,
 ``sqrt`` etc., so it runs unchanged on floats, numpy arrays (elementwise
-batches), ``Dual`` and ``Var``.  The value channel of a ``Dual``/``Var``
-always equals the plain-float evaluation: derivative bookkeeping never
-changes the primal arithmetic.
+batches), ``Dual``, ``Var`` and ``Traced``.  The value channel of a
+``Dual``/``Var`` always equals the plain-float evaluation: derivative
+bookkeeping never changes the primal arithmetic.
 
 Comparisons read the value channel only; at kinks (abs, min/max) the
 derivative is that of the branch taken.
@@ -94,8 +97,9 @@ def _div(a, b):
 
 
 def value(x):
-    """Value channel of any supported scalar."""
-    if isinstance(x, _Scalar):
+    """Value channel of any supported scalar.  A ``tracing.Traced`` scalar is
+    its own value channel: its value is only known when its kernel runs."""
+    if isinstance(x, (Var, Dual)):
         return x.value
     return x
 

@@ -34,6 +34,11 @@ class CliError(Exception):
         self.code = code
 
 
+def _message(e):
+    """An exception's message; ``str`` of a ``KeyError`` would quote it."""
+    return e.args[0] if isinstance(e, KeyError) and e.args else str(e)
+
+
 # ---------------------------------------------------------------------------
 # JSON with 17-significant-digit floats (round-trip exact for 64-bit reals)
 # ---------------------------------------------------------------------------
@@ -175,7 +180,9 @@ def cmd_info(args):
 def cmd_fk(args):
     model = _load_model(args.urdf, kinematics_only=True)
     q = _vec_n(args, "q", model.n)
-    pose = forward_kinematics(model, q)[args.link]
+    poses = forward_kinematics(model, q)
+    model.link(args.link)  # an unknown link raises with the message of jac and ik
+    pose = poses[args.link]
     R = pose.rotation.values()
     payload = {"link": args.link,
                "position": pose.position.values(),
@@ -214,6 +221,9 @@ def cmd_fd(args):
     qd = _vec_n(args, "qd", model.n)
     tau = _vec_n(args, "tau", model.n)
     qdd = [float(x) for x in aba(model, q, qd, tau, gravity=_gravity(args))]
+    if not np.all(np.isfinite(qdd)):
+        raise DynamicsError(f"non-finite joint accelerations {qdd}; check link inertias "
+                            "and the state")
     _emit(args, {"qdd": qdd}, [f"qdd: {qdd}"])
     return EXIT_OK
 
@@ -277,7 +287,7 @@ def cmd_sysid(args):
         try:
             store.make_learnable(link, field)
         except (KeyError, ValueError) as e:
-            raise CliError(f"--learn: {e}")
+            raise CliError(f"--learn: {_message(e)}")
     report = learn_mod.fit(store, ds, optimizer=args.optimizer,
                            learning_rate=args.lr, epochs=args.epochs,
                            gravity=_gravity(args), seed=args.seed)
@@ -393,7 +403,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return e.code
     except (UrdfError, ValidationError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_message(e)}", file=sys.stderr)
         return EXIT_USAGE
     except (DynamicsError, NonFiniteError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

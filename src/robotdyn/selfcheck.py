@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea, simulate, \
-    total_energy
+from .dynamics import NonFiniteStateError, aba, forward_dynamics_cholesky, mass_matrix, \
+    rnea, simulate, total_energy
 from .kinematics import forward_kinematics, link_jacobian
 
 
@@ -150,11 +150,16 @@ def check_ad_vs_fd(model, rng, n_states, step=1e-6):
 
 
 def check_energy_drift(model, rng, steps=300, dt=1e-3):
-    """Relative energy drift of a passive zero-gravity rollout."""
+    """Relative energy drift of a passive zero-gravity rollout; NaN when the
+    rollout reaches a non-finite state, as it does when the dynamics return
+    NaN."""
     q0 = rng.uniform(-0.5, 0.5, size=model.n)
     qd0 = rng.uniform(0.5, 1.0, size=model.n)
     g = (0.0, 0.0, 0.0)
-    traj = simulate(model, q0, qd0, None, dt, steps, gravity=g, integrator="rk4")
+    try:
+        traj = simulate(model, q0, qd0, None, dt, steps, gravity=g, integrator="rk4")
+    except NonFiniteStateError:
+        return float("nan")
     e0 = total_energy(model, list(traj[0][1]), list(traj[0][2]), gravity=g)
     drift = max(abs(total_energy(model, list(q), list(qd), gravity=g) - e0)
                 for _, q, qd, _ in traj[::50])

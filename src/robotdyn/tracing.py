@@ -1,0 +1,292 @@
+"""Tracing generic scalar code into straight-line float code.
+
+``Traced`` is a third scalar flavour next to ``autodiff.Var`` and
+``autodiff.Dual``: it shares their ``_Scalar`` base and elementary functions,
+and records every float operation with its operands into a ``Trace``.
+``trace_kernel`` calls a generic function once on ``Traced`` inputs and
+compiles the record into one straight-line Python function that runs on
+plain floats.
+
+``dynamics.simulate`` imports this module when it first traces ``aba``, so
+importing robotdyn does not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .autodiff import _ELEMENTARY, _REAL, _Scalar
+
+
+class TraceError(TypeError):
+    """The traced function did something a straight-line kernel cannot hold:
+    a branch on a traced value, or an operand that is not a plain number."""
+
+
+class _Bail(ArithmeticError):
+    """Raised inside a kernel that cannot vouch for its result."""
+
+
+_EXPRESSIONS = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{} / {}",
+                "neg": "-{}", "abs": "abs({})", "pow": "{} ** {}",
+                **{name: name + "({})" for name, _, _ in _ELEMENTARY}}
+
+# how many leading operands spread a non-finite value into the result, where
+# not all do: a denominator, an exponent or exp's argument may not (1/inf, exp(-inf))
+_SPREADS = {"div": 1, "pow": 0, "exp": 0}
+
+# statements per compiled function: compiling a kernel in pieces keeps the
+# transient memory of the parser and compiler small
+_CHUNK = 250
+
+
+class Trace:
+    """Straight-line record of the float operations on its ``Traced`` scalars.
+
+    A plain-number operand becomes a constant bound by name (``repr`` does not
+    round-trip ``inf``/``nan``).  Operations on constants alone run as plain
+    float arithmetic and are never recorded.  These are folded instead of
+    recorded: ``x + 0``, ``x - 0``, ``x * 1``, ``x / 1`` -> ``x``; ``x * -1``,
+    ``x / -1``, ``0 - x`` -> ``-x``; ``x * 0`` -> ``0``.  All are exact up to
+    the sign of a zero, so the kernel gives up on a zero output, and ``x * 0``
+    is exact for finite ``x`` only.  The kernel tests the sum of its outputs
+    for finiteness, which covers every folded ``x`` whose non-finite value
+    would reach an output, and the sum of the other folded ``x``, the
+    *witness*.
+    """
+
+    def __init__(self):
+        # (target, expression, names read, names whose non-finite value the
+        # target spreads); a guard has target None
+        self.statements = []
+        self.constants = {}     # name -> plain number
+        self._constant_names = {}
+        self.folded = {}        # names of the x folded in some x * 0, as dict keys
+        self._count = 0
+
+    def scalar(self, prefix="t"):
+        self._count += 1
+        return Traced(self, f"{prefix}{self._count}")
+
+    def name(self, x):
+        """Name of an operand: a ``Traced`` of this trace, or a constant."""
+        if isinstance(x, Traced) and x.trace is self:
+            return x.name
+        if not isinstance(x, _REAL):
+            raise TraceError(f"cannot trace an operand of type {type(x).__name__}")
+        key = (type(x), x.hex() if isinstance(x, float) else repr(x))
+        name = self._constant_names.get(key)
+        if name is None:
+            name = self._constant_names[key] = f"c{len(self.constants)}"
+            self.constants[name] = x
+        return name
+
+    def record(self, op, operands):
+        """The result of ``op`` on ``operands``: folded, or a new statement."""
+        if op not in _EXPRESSIONS:
+            raise TraceError(f"cannot trace operation '{op}'")
+        names = [self.name(x) for x in operands]   # every operand is checked first
+        if len(operands) == 2:
+            x, y = operands
+            if op == "sub" and not isinstance(x, Traced) and x == 0:
+                return -y
+            if op in ("add", "sub", "mul", "div") and not isinstance(y, Traced):
+                if y == 0 and op in ("add", "sub"):
+                    return x
+                if y == 0 and op == "mul":
+                    self.folded[x.name] = None
+                    return 0.0
+                if y == 1 and op in ("mul", "div"):
+                    return x
+                if y == -1 and op in ("mul", "div"):
+                    return -x
+        out = self.scalar()
+        reads = tuple(n for x, n in zip(operands, names) if isinstance(x, Traced))
+        spreads = tuple(n for x, n in zip(operands[:_SPREADS.get(op, 2)], names)
+                        if isinstance(x, Traced))
+        self.statements.append((out.name, _EXPRESSIONS[op].format(*names), reads, spreads))
+        return out
+
+    def compile(self, inputs, outputs):
+        """``kernel(*lists)`` for the traced ``inputs`` (lists of ``Traced``)
+        and ``outputs``; see ``trace_kernel``."""
+        out_names = [self.name(y) for y in outputs]
+        traced = [y for y in outputs if isinstance(y, Traced)]
+        covered = {y.name for y in traced}
+        for target, _, _, spreads in reversed(self.statements):
+            if target in covered:
+                covered.update(spreads)
+        witness = [Traced(self, name) for name in self.folded if name not in covered]
+        tail, reads = [], {y.name for y in traced}
+        # one finiteness test per call, of the outputs and the witness
+        terms = traced + witness
+        if terms:
+            check = sum(terms[1:], terms[0])
+            reads.add(check.name)
+            zero = f" or 0.0 in ({', '.join(y.name for y in traced)},)" if traced else ""
+            tail.append(f"if not isfinite({check.name}){zero}: return None")
+        tail.append(f"return [{', '.join(out_names)}]")
+
+        # dead-code elimination: keep the guards and whatever the tail reads
+        kept, live = [], set(reads)
+        for statement in reversed(self.statements):
+            if statement[0] is None or statement[0] in live:
+                kept.append(statement)
+                live.update(statement[2])
+        kept.reverse()
+
+        # chunks, last to first: each takes the names the rest still reads
+        chunks = [kept[i:i + _CHUNK] for i in range(0, len(kept), _CHUNK)] or [[]]
+        params, need = [], reads
+        for chunk in reversed(chunks):
+            need = set(need)
+            for target, _, names, _ in reversed(chunk):
+                need.discard(target)
+                need.update(names)
+            params.append(sorted(need))
+        params.reverse()
+
+        namespace = dict(self.constants, isfinite=math.isfinite, _Bail=_Bail,
+                         **{name: f for name, f, _ in _ELEMENTARY})
+        for k, chunk in enumerate(chunks):
+            lines = [f"def _k{k}({', '.join(params[k])}):"]
+            for target, expr, _, _ in chunk:
+                lines.append(f"    if {expr}: raise _Bail" if target is None
+                             else f"    {target} = {expr}")
+            if k + 1 < len(chunks):
+                lines.append(f"    return ({', '.join(params[k + 1])},)")
+            else:
+                lines += ["    " + line for line in tail]
+            exec(compile("\n".join(lines), f"<kernel chunk {k}>", "exec"), namespace)
+        call = f"_k0({', '.join(params[0])})"
+        for k in range(1, len(chunks)):
+            call = f"_k{k}(*{call})"
+        # the chunks are bound as defaults and leave the namespace, so no
+        # reference cycle keeps a kernel alive after its last use
+        args = [f"a{i}" for i in range(len(inputs))]
+        lines = [f"def kernel({', '.join(args + [f'_k{k}=_k{k}' for k in range(len(chunks))])}):",
+                 "    try:"]
+        lines += [f"        {', '.join(x.name for x in xs)}, = {a}"
+                  for a, xs in zip(args, inputs) if xs]
+        # a guard, a float operation or a malformed input raised: the traced
+        # function, run on the plain floats, decides what that means
+        lines += [f"        return {call}", "    except (ArithmeticError, ValueError, TypeError):",
+                  "        return None"]
+        exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
+        for k in range(len(chunks)):
+            del namespace[f"_k{k}"]
+        return namespace.pop("kernel")
+
+
+class _Condition:
+    """A comparison of traced scalars, known only when the kernel runs."""
+
+    __slots__ = ("trace", "text", "reads")
+
+    def __init__(self, trace, text, reads):
+        self.trace = trace
+        self.text = text
+        self.reads = reads
+
+    def __bool__(self):
+        raise TraceError("branch on a traced value")
+
+    def any(self, axis=None, out=None):
+        """``np.any(condition)`` defers here.  The trace takes the condition
+        as false, and the kernel bails out when it holds."""
+        self.trace.statements.append((None, self.text, self.reads, ()))
+        return False
+
+
+class Traced(_Scalar):
+    """Scalar whose float operations are recorded into a ``Trace``.
+
+    ``value`` is a NaN placeholder that the elementary functions compute on
+    and nothing reads (NaN arithmetic never raises).
+    """
+
+    __slots__ = ("trace", "name", "value")
+
+    def __init__(self, trace, name):
+        self.trace = trace
+        self.name = name
+        self.value = math.nan
+
+    def _new(self, val, op, parents):
+        # an elementary function of self (``where`` and ``asum`` raise here)
+        return self.trace.record(op, (self,))
+
+    def __add__(self, other):
+        return self.trace.record("add", (self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.trace.record("sub", (self, other))
+
+    def __rsub__(self, other):
+        return self.trace.record("sub", (other, self))
+
+    def __mul__(self, other):
+        return self.trace.record("mul", (self, other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self.trace.record("div", (self, other))
+
+    def __rtruediv__(self, other):
+        return self.trace.record("div", (other, self))
+
+    def __neg__(self):
+        return self.trace.record("neg", (self,))
+
+    def __abs__(self):
+        return self.trace.record("abs", (self,))
+
+    def __pow__(self, p):
+        return self.trace.record("pow", (self, p))
+
+    def _compare(self, other, op):
+        reads = (self.name, other.name) if isinstance(other, Traced) else (self.name,)
+        return _Condition(self.trace, f"{self.name} {op} {self.trace.name(other)}", reads)
+
+    def __lt__(self, other):
+        return self._compare(other, "<")
+
+    def __le__(self, other):
+        return self._compare(other, "<=")
+
+    def __gt__(self, other):
+        return self._compare(other, ">")
+
+    def __ge__(self, other):
+        return self._compare(other, ">=")
+
+    def __bool__(self):
+        raise TraceError("branch on a traced value")
+
+    def __repr__(self):
+        return f"Traced({self.name})"
+
+
+def trace_kernel(f, *sizes):
+    """Trace ``f`` once and compile it into straight-line float code.
+
+    ``f`` is called once, on lists of ``Traced`` scalars of the given sizes,
+    and must return a list of scalars built from them and plain numbers.
+    The result, ``kernel(*lists)``, takes lists of floats of those sizes and
+    returns the list ``f`` returns on them, equal under ``==`` and in the sign
+    of every zero; or None when it cannot vouch for that: a guard held, the
+    float arithmetic raised, an output is zero or not finite, or the witness
+    of the folded ``x * 0`` is not finite (see ``Trace``).
+
+    ``np.any`` of a traced comparison is a guard: the trace takes it as false
+    and the kernel returns None when it holds, so an error branch such as
+    ``if np.any(singular): raise ...`` is left to ``f`` on plain floats.  Any
+    other branch on a traced value, and any operand that is not a plain
+    number, raises ``TraceError``; whatever else ``f`` raises propagates.
+    """
+    trace = Trace()
+    inputs = [[trace.scalar("x") for _ in range(n)] for n in sizes]
+    return trace.compile(inputs, list(f(*inputs)))

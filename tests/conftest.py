@@ -75,3 +75,13 @@ def urdf_text(name, links, joints):
         out.append("  </joint>")
     out.append("</robot>")
     return "\n".join(out)
+
+
+def heavy_two_link_urdf():
+    """A valid two-link arm with 1e160 kg links: the articulated-body sweep
+    overflows, and ``aba`` returns NaN instead of raising."""
+    inertial = (1e160, (0.25, 0.0, 0.0), (0, 0, 0), (1e158, 0.0, 0.0, 1e158, 0.0, 1e158))
+    links = [("base", None), ("l1", inertial), ("l2", inertial)]
+    joints = [("j1", "revolute", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
+              ("j2", "revolute", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
+    return urdf_text("heavy", links, joints)

@@ -1,5 +1,6 @@
 """Property tests on random valid URDF trees: the cross-algorithm oracles of
-``robot check`` and an independent forward-kinematics oracle.
+``robot check``, the straight-line ``aba`` kernel against the generic
+``aba``, and an independent forward-kinematics oracle.
 
 Trees have 1-6 movable joints (revolute, continuous, prismatic) and 0-3
 fixed joints, each attached under a random earlier link, so chains branch.
@@ -9,18 +10,23 @@ inertia is that of a solid box with sides 0.05-1 m and mass 0.1-10 kg,
 rotated by a random rpy.  Fixed links and the base carry mass or none.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robotdyn as rd
 from robotdyn import selfcheck
-from conftest import urdf_text
+from robotdyn.dynamics import aba
+from robotdyn.tracing import trace_kernel
+from conftest import random_state, urdf_text
 
 MOVABLE = ("revolute", "continuous", "prismatic")
 ALGEBRA_CHECKS = ("aba_rnea_roundtrip", "crba_columns", "aba_vs_cholesky",
                   "mass_matrix_symmetry", "mass_matrix_positive_definite",
-                  "jacobian_vs_finite_difference", "gradient_vs_finite_difference")
+                  "jacobian_vs_finite_difference", "gradient_vs_finite_difference",
+                  "energy_drift")
 
 angles = st.floats(-np.pi, np.pi)
 rpys = st.tuples(angles, angles, angles)
@@ -109,8 +115,27 @@ def test_random_tree_passes_algebraic_checks(tree):
         if name not in ALGEBRA_CHECKS:
             continue
         rng = np.random.default_rng(0)
-        err = fn(model, rng, 1 if fn is selfcheck.check_ad_vs_fd else 3)
+        if fn is selfcheck.check_energy_drift:
+            err = fn(model, rng)
+        else:
+            err = fn(model, rng, 1 if fn is selfcheck.check_ad_vs_fd else 3)
         assert err < tol, f"{name}: max_error {err:.3g} >= {tol:g}"
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees())
+def test_random_tree_aba_kernel_equals_generic(tree):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    n = model.n
+    kernel = trace_kernel(lambda *state: aba(model, *state), n, n, n)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        state = [x.tolist() for x in random_state(model, rng, scale=3.0)]
+        got, want = kernel(*state), aba(model, *state)
+        assert got is not None   # finite, nonzero and no guard held
+        assert got == want
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

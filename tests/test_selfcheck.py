@@ -16,7 +16,7 @@ from robotdyn import autodiff as ad
 from robotdyn import selfcheck
 from robotdyn.dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea
 from robotdyn.kinematics import forward_kinematics, link_jacobian
-from conftest import urdf_text
+from conftest import heavy_two_link_urdf, urdf_text
 from test_random_trees import robot_trees
 
 _random_state = selfcheck._random_state
@@ -196,13 +196,7 @@ def test_jacobian_check_evaluates_fk_at_most_twice_per_state(six_dof, monkeypatc
 
 
 def _heavy_two_link():
-    # valid inertias, but at 1e160 kg the articulated-body sweep overflows
-    # and aba returns NaN instead of raising
-    inertial = (1e160, (0.25, 0.0, 0.0), (0, 0, 0), (1e158, 0.0, 0.0, 1e158, 0.0, 1e158))
-    links = [("base", None), ("l1", inertial), ("l2", inertial)]
-    joints = [("j1", "revolute", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
-              ("j2", "revolute", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
-    return rd.build_model(rd.parse_urdf(urdf_text("heavy", links, joints)))
+    return rd.build_model(rd.parse_urdf(heavy_two_link_urdf()))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -213,6 +207,11 @@ def test_nan_dynamics_error_fails_its_check():
     for name in ("aba_rnea_roundtrip", "aba_vs_cholesky"):
         err = CHECK_FNS[name](model, np.random.default_rng(0), 5)
         assert np.isnan(err), f"{name} returned {err!r}"
+
+
+def test_nan_dynamics_fail_the_energy_drift_check():
+    # the rollout reaches a non-finite state at its first step
+    assert np.isnan(selfcheck.check_energy_drift(_heavy_two_link(), np.random.default_rng(0)))
 
 
 def test_nan_jacobian_entry_fails_the_jacobian_check(six_dof, monkeypatch):
