@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -86,9 +87,15 @@ def link_jacobian(model, q, link):
     """
     _check_q(model, q)
     frame = model.link(link)
-    world = world_transforms(model, q)
+    batch = np.broadcast_shapes(*(np.shape(ad.value(x)) for x in q))
+    return _jacobian(model, world_transforms(model, q), frame, batch)
+
+
+def _jacobian(model, world, frame, batch=()):
+    """``link_jacobian`` of ``frame`` from the body world poses ``world`` of a
+    configuration, or of a batch of configurations of shape ``batch``."""
     p_link = link_transform(world, frame).trans
-    J = np.zeros((6, model.n) + np.broadcast_shapes(*(np.shape(ad.value(x)) for x in q)))
+    J = np.zeros((6, model.n) + batch)
     i = frame.body
     while i >= 0:
         body = model.bodies[i]
@@ -108,9 +115,15 @@ def _check_q(model, q):
         raise ValueError(f"expected {model.n} joint coordinates, got {len(q)}")
 
 
-def _pose_loss(model, frame, qs, target_pos, target_rot, orientation_weight):
-    """Loss pieces for IK; generic over the scalar type of qs."""
-    X = link_transform(world_transforms(model, qs), frame)
+# bound on the cosine of the orientation error, so that acos stays differentiable
+_COS_MAX = 1.0 - 1e-12
+
+
+def _pose_loss(model, frame, qs, target_pos, target_rot):
+    """Loss pieces for IK, and the body world poses they come from; generic
+    over the scalar type of qs."""
+    world = world_transforms(model, qs)
+    X = link_transform(world, frame)
     d = X.trans - target_pos
     pos_sq = d.dot(d)
     loss = pos_sq
@@ -118,16 +131,41 @@ def _pose_loss(model, frame, qs, target_pos, target_rot, orientation_weight):
     if target_rot is not None:
         rel = X.rot.T().matmat(target_rot)
         c = (rel.trace() - 1.0) * 0.5
-        cos_theta = ad.minimum(ad.maximum(c, -1.0 + 1e-12), 1.0 - 1e-12)
+        cos_theta = ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX)
         theta = ad.acos(cos_theta)
-        loss = loss + theta * theta * orientation_weight
-    return loss, pos_sq, cos_theta
+        loss = loss + theta * theta
+    return loss, pos_sq, cos_theta, world
+
+
+def _pose_gradient(X, J, target_pos, target_rot):
+    """Gradient of ``_pose_loss`` at a float configuration, in closed form from
+    the link pose ``X`` and its geometric Jacobian ``J``.
+
+    The position term is 2·J_linᵀ(p − p*).  Joint j turns R at the rate
+    dR/dq_j = [ω_j]×R, so c = (tr(RᵀR*) − 1)/2 changes at ½·ω_j·vex(A − Aᵀ)
+    with A = R*·Rᵀ, and θ² = acos(c)² contributes
+    −θ/√(1 − c²)·J_angᵀ·vex(A − Aᵀ).  That term is zero where the clamp on c
+    is active, as ``ad.minimum``/``ad.maximum`` make the AD gradient.
+    """
+    grad = 2.0 * (J[3:6].T @ np.array((X.trans - target_pos).tolist()))
+    if target_rot is not None:
+        c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
+        if -_COS_MAX <= c <= _COS_MAX:
+            A = target_rot.matmat(X.rot.T())
+            vex = np.array([A.h - A.f, A.c - A.g, A.d - A.b])
+            grad -= math.acos(c) / math.sqrt(1.0 - c * c) * (J[0:3].T @ vex)
+    return grad
 
 
 def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
                        pos_tolerance=1e-5, rot_tolerance=1e-4,
                        position_only=None, seed=0):
-    """Gradient-descent IK with backtracking line search and limit clamping.
+    """IK by damped Gauss-Newton steps, with gradient descent as the fallback,
+    backtracking line searches and limit clamping.
+
+    The gradient of the pose loss is analytic, from the geometric Jacobian of
+    the link (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
+    only as its test oracle.
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  Joint
     limits are enforced by projection after every step.  Non-convergence is
@@ -153,21 +191,21 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     step = step_size
 
     def eval_float(qv):
-        loss, pos_sq, cos_t = _pose_loss(model, frame, list(qv), target_pos,
-                                         target_rot, 1.0)
-        ang = ad.acos(cos_t) if cos_t is not None else 0.0
-        return float(loss), float(np.sqrt(pos_sq)), float(ang)
+        # the world poses come along, so that an accepted iterate reuses them
+        loss, pos_sq, cos_t, world = _pose_loss(model, frame, list(qv), target_pos,
+                                                target_rot)
+        ang = math.acos(cos_t) if cos_t is not None else 0.0
+        return float(loss), float(np.sqrt(pos_sq)), float(ang), world
 
-    def newton_direction(qv, grad):
+    def newton_direction(J, grad):
         # Gauss-Newton curvature of the squared-error loss from the geometric
         # Jacobian, Tikhonov-damped so the solve is always well posed.
-        J = link_jacobian(model, qv, link)
         H = 2.0 * (J[3:6].T @ J[3:6])
         if target_rot is not None:
             H += 2.0 * (J[0:3].T @ J[0:3])
         return np.linalg.solve(H + 1e-6 * np.eye(model.n), grad)
 
-    loss, pos_err, ang_err = eval_float(q)
+    loss, pos_err, ang_err, world = eval_float(q)
     best_q, best = q.copy(), (loss, pos_err, ang_err)
     stagnant = 0
     restarts = backtracks = 0
@@ -181,24 +219,24 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             # orientation error at the antipode: nudge once to leave the stall
             q = np.clip(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
                                       for _ in range(model.n)]), lo, hi)
-            loss, pos_err, ang_err = eval_float(q)
+            loss, pos_err, ang_err, world = eval_float(q)
             perturbed = True
             continue
-        grad = ad.gradient(
-            lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot, 1.0)[0],
-            q)
+        # the forward kinematics of the iterate's loss feed its Jacobian and gradient
+        J = _jacobian(model, world, frame)
+        grad = _pose_gradient(link_transform(world, frame), J, target_pos, target_rot)
         accepted = False
         loss_before = loss
         # Preferred direction: damped Gauss-Newton.  Fallback: raw gradient.
         # Both use the same backtracking rule (halve until the loss decreases).
         s = 1.0
-        direction = newton_direction(q, grad)
+        direction = newton_direction(J, grad)
         for _ in range(20):
             q_trial = np.clip(q - s * direction, lo, hi)
             trial = eval_float(q_trial)
             if trial[0] < loss:
                 q = q_trial
-                loss, pos_err, ang_err = trial
+                loss, pos_err, ang_err, world = trial
                 accepted = True
                 break
             s *= 0.5
@@ -209,7 +247,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
                 trial = eval_float(q_trial)
                 if trial[0] < loss:
                     q = q_trial
-                    loss, pos_err, ang_err = trial
+                    loss, pos_err, ang_err, world = trial
                     step = min(step * 1.5, 1e3 * step_size)
                     accepted = True
                     break
@@ -235,7 +273,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
                 if best_cand is None or trial[0] < best_cand[1][0]:
                     best_cand = (cand, trial)
             q = best_cand[0]
-            loss, pos_err, ang_err = best_cand[1]
+            loss, pos_err, ang_err, world = best_cand[1]
             step = step_size
             stagnant = 0
             perturbed = False

@@ -1,11 +1,14 @@
 """Learnable rigid-body parameters and gradient-based identification.
 
 Selected inertial fields (mass, CoM, rotational inertia) are exposed to an
-optimizer through constrained parametrizations mapping unconstrained raw
-vectors to valid physical values, so no optimizer step can produce invalid
-physics: mass stays positive (softplus), the CoM is free, and the rotational
-inertia stays symmetric positive definite (Cholesky factor with softplus
-diagonal plus a small diagonal floor).
+optimizer through maps from unconstrained raw vectors: mass stays positive
+(softplus), the CoM is free, and the rotational inertia about the link
+origin stays symmetric positive definite (Cholesky factor with softplus
+diagonal plus a small diagonal floor).  That is all the maps guarantee: an
+SPD inertia about the link origin can still leave the inertia about the CoM
+indefinite or violating the triangle inequality, so an optimizer step can
+reach physically inconsistent parameters (ROADMAP item 3 plans a map that
+rules this out).
 
 Identification minimizes a torque-regression loss: mean squared difference
 between inverse-dynamics torques predicted with the mapped parameters and

@@ -45,6 +45,14 @@ def _rel_inf(a, b):
     return np.max(np.abs(a - b), axis=0) / np.maximum(1.0, np.max(np.abs(b), axis=0))
 
 
+def _rel_to_mass(D, M):
+    """Per-state largest |D| entry of (k, n, n) batches over the largest |M|
+    entry of the same state, so that a tolerance on mass-matrix errors holds
+    for any inertia scale; NaN stays NaN."""
+    return np.max(np.abs(D), axis=(1, 2)) / np.maximum(np.max(np.abs(M), axis=(1, 2)),
+                                                       np.finfo(float).tiny)
+
+
 def _batch_array(x, k):
     """Nested lists of floats and k-sample batches as one array; samples last."""
     if isinstance(x, list):
@@ -76,7 +84,8 @@ def check_aba_rnea_roundtrip(model, rng, n_states):
 
 
 def check_crba_columns(model, rng, n_states):
-    """Each mass-matrix column against inverse dynamics of a unit acceleration."""
+    """Each mass-matrix column against inverse dynamics of a unit acceleration,
+    relative to the largest mass-matrix entry of the state."""
     n = model.n
     q, _, _ = _random_states(model, rng, n_states)
     M = _mass_matrices(model, q)
@@ -84,7 +93,7 @@ def check_crba_columns(model, rng, n_states):
     cols = rnea(model, list(np.repeat(q, n, axis=1)), [0.0] * n,
                 list(np.tile(np.eye(n), n_states)), gravity=(0.0, 0.0, 0.0))
     cols = np.array(cols).T.reshape(n_states, n, n)  # [s, j, i]
-    return _worst(np.max(np.abs(M - cols.transpose(0, 2, 1)), axis=1))
+    return _worst(_rel_to_mass(M - cols.transpose(0, 2, 1), M))
 
 
 def check_aba_vs_cholesky(model, rng, n_states):
@@ -95,9 +104,10 @@ def check_aba_vs_cholesky(model, rng, n_states):
 
 
 def check_mass_matrix_symmetry(model, rng, n_states):
+    """Largest |M - Mᵀ| entry relative to the largest |M| entry of the state."""
     q, _, _ = _random_states(model, rng, n_states)
     M = _mass_matrices(model, q)
-    return _worst(np.max(np.abs(M - M.transpose(0, 2, 1)), axis=(1, 2)))
+    return _worst(_rel_to_mass(M - M.transpose(0, 2, 1), M))
 
 
 def check_mass_matrix_pd(model, rng, n_states):

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 import robotdyn as rd
+from robotdyn import autodiff as ad
 from robotdyn.kinematics import (
+    _COS_MAX,
     Pose,
+    _jacobian,
+    _pose_gradient,
+    _pose_loss,
     forward_kinematics,
     inverse_kinematics,
     link_jacobian,
+    link_transform,
+    world_transforms,
 )
 from robotdyn.spatial import Vec3
 
@@ -141,6 +148,50 @@ def test_jacobian_shape_and_unknown_link(two_link):
 
 # ---------------------------------------------------------------------------
 # inverse kinematics
+
+
+def ik_gradients(model, link, q, target_pos, target_rot):
+    """The analytic IK gradient at ``q`` and its oracle, reverse-mode AD of
+    the pose loss."""
+    frame = model.link(link)
+    world = world_transforms(model, list(q))
+    g = _pose_gradient(link_transform(world, frame), _jacobian(model, world, frame),
+                       target_pos, target_rot)
+    g_ad = ad.gradient(lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot)[0],
+                       list(q))
+    return g, np.array(g_ad)
+
+
+def assert_ik_gradient_matches_ad(model, link, q, target):
+    """Full-pose and position-only gradients equal AD to 1e-12 relative."""
+    for target_rot in (target.rotation, None):
+        g, g_ad = ik_gradients(model, link, q, target.position, target_rot)
+        err = np.max(np.abs(g - g_ad), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(g_ad), initial=0.0), (link, target_rot, err)
+
+
+@pytest.mark.parametrize("name", ["two_link_planar", "six_dof_arm"])
+def test_ik_gradient_equals_ad_gradient(name):
+    model = rd.load_model(rd.fixture_path(name))
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        target = forward_kinematics(model, list(rng.uniform(-np.pi, np.pi, model.n)))["tool"]
+        assert_ik_gradient_matches_ad(model, "tool", rng.uniform(-np.pi, np.pi, model.n),
+                                      target)
+
+
+def test_ik_gradient_orientation_term_is_zero_where_the_clamp_is_active(six_dof):
+    rng = np.random.default_rng(6)
+    q = rng.uniform(-np.pi, np.pi, 6)
+    pose = forward_kinematics(six_dof, list(q))["tool"]
+    target_pos = pose.position + rd.Vec3(0.1, -0.2, 0.05)
+    c = (pose.rotation.T().matmat(pose.rotation).trace() - 1.0) * 0.5
+    assert c > _COS_MAX
+    full, full_ad = ik_gradients(six_dof, "tool", q, target_pos, pose.rotation)
+    pos_only, _ = ik_gradients(six_dof, "tool", q, target_pos, None)
+    assert np.any(pos_only != 0.0)
+    assert full.tobytes() == pos_only.tobytes()
+    np.testing.assert_allclose(full, full_ad, rtol=0, atol=1e-12 * np.max(np.abs(full_ad)))
 
 
 def test_ik_fixed_point_returns_immediately(two_link):

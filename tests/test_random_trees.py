@@ -1,6 +1,7 @@
 """Property tests on random valid URDF trees: the cross-algorithm oracles of
 ``robot check``, the straight-line ``aba`` kernel against the generic
-``aba``, and an independent forward-kinematics oracle.
+``aba``, an independent forward-kinematics oracle, and the analytic IK
+gradient against reverse-mode AD.
 
 Trees have 1-6 movable joints (revolute, continuous, prismatic) and 0-3
 fixed joints, each attached under a random earlier link, so chains branch.
@@ -21,6 +22,7 @@ from robotdyn import selfcheck
 from robotdyn.dynamics import aba
 from robotdyn.tracing import trace_kernel
 from conftest import random_state, urdf_text
+from test_kinematics import assert_ik_gradient_matches_ad
 
 MOVABLE = ("revolute", "continuous", "prismatic")
 ALGEBRA_CHECKS = ("aba_rnea_roundtrip", "crba_columns", "aba_vs_cholesky",
@@ -152,3 +154,14 @@ def test_random_tree_fk_round_trip(tree, values):
         np.testing.assert_allclose(pose.position.values(), want[link][:3, 3], atol=1e-12)
         np.testing.assert_allclose(np.array(pose.rotation.rows()), want[link][:3, :3],
                                    atol=1e-12)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees(), st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12))
+def test_random_tree_ik_gradient_equals_ad_gradient(tree, values):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    q, q_target = values[:model.n], values[6:6 + model.n]
+    poses = rd.forward_kinematics(model, q_target)
+    for link in model.link_names():
+        assert_ik_gradient_matches_ad(model, link, q, poses[link])

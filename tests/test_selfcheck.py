@@ -7,6 +7,8 @@ order.  The batched checks must return the same error, bit for bit, on the
 dynamics fixtures and on random trees.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,10 @@ def _ref_aba_rnea_roundtrip(model, rng, n_states):
     return err
 
 
+def _mass_scale(M):
+    return max(float(np.max(np.abs(M))), np.finfo(float).tiny)
+
+
 def _ref_crba_columns(model, rng, n_states):
     err = 0.0
     zero = [0.0] * model.n
@@ -47,7 +53,7 @@ def _ref_crba_columns(model, rng, n_states):
             ej = [0.0] * model.n
             ej[j] = 1.0
             col = rnea(model, list(q), zero, ej, gravity=(0.0, 0.0, 0.0))
-            err = max(err, float(np.max(np.abs(M[:, j] - np.asarray(col)))))
+            err = max(err, float(np.max(np.abs(M[:, j] - np.asarray(col)))) / _mass_scale(M))
     return err
 
 
@@ -66,7 +72,7 @@ def _ref_mass_matrix_symmetry(model, rng, n_states):
     for _ in range(n_states):
         q, _, _ = _random_state(model, rng)
         M = np.asarray(mass_matrix(model, list(q)))
-        err = max(err, float(np.max(np.abs(M - M.T))))
+        err = max(err, float(np.max(np.abs(M - M.T))) / _mass_scale(M))
     return err
 
 
@@ -137,6 +143,7 @@ REFERENCES = {
     "gradient_vs_finite_difference": _ref_ad_vs_fd,
 }
 CHECK_FNS = {name: fn for name, fn, _ in selfcheck.CHECKS}
+CHECK_TOLS = {name: tol for name, _, tol in selfcheck.CHECKS}
 
 
 def _assert_same_as_reference(model, seed, n_states, grad_states):
@@ -222,3 +229,38 @@ def test_nan_jacobian_entry_fails_the_jacobian_check(six_dof, monkeypatch):
 
     monkeypatch.setattr(selfcheck, "link_jacobian", one_nan)
     assert np.isnan(selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), 3))
+
+
+def _six_dof_scaled(factor):
+    """``six_dof_arm`` with every mass and inertia entry multiplied by ``factor``."""
+    with open(rd.fixture_path("six_dof_arm")) as fh:
+        text = fh.read()
+    text = re.sub(r'((?:value|i[xyz]{2})=")([^"]+)"',
+                  lambda m: f'{m.group(1)}{float(m.group(2)) * factor!r}"', text)
+    return rd.build_model(rd.parse_urdf(text))
+
+
+MASS_MATRIX_CHECKS = ("crba_columns", "mass_matrix_symmetry")
+
+
+@pytest.mark.parametrize("name", MASS_MATRIX_CHECKS)
+def test_mass_matrix_checks_hold_at_any_inertia_scale(name):
+    # rounding of mass-matrix entries near 1e8 alone exceeds an absolute 1e-10
+    fn, tol = CHECK_FNS[name], CHECK_TOLS[name]
+    for factor in (1.0, 1e8):
+        model = _six_dof_scaled(factor)
+        assert fn(model, np.random.default_rng(0), 20) < tol, factor
+
+
+@pytest.mark.parametrize("name", MASS_MATRIX_CHECKS)
+def test_mass_matrix_checks_fail_on_a_tampered_mass_matrix(name, monkeypatch):
+    def tampered(model, q):
+        M = mass_matrix(model, q)
+        M[0][1] = M[0][1] + 1e-6 * M[0][0]
+        return M
+
+    monkeypatch.setattr(selfcheck, "mass_matrix", tampered)
+    for factor in (1.0, 1e8):
+        model = _six_dof_scaled(factor)
+        err = CHECK_FNS[name](model, np.random.default_rng(0), 20)
+        assert err > CHECK_TOLS[name], (factor, err)
