@@ -9,7 +9,8 @@ from importlib import resources
 
 from . import autodiff, dynamics, kinematics, learn, selfcheck, spatial, urdf
 from .dynamics import DEFAULT_GRAVITY, DynamicsError, aba, bias_force, \
-    forward_dynamics_cholesky, gravity_term, mass_matrix, rnea, simulate, total_energy
+    forward_dynamics_cholesky, gravity_term, mass_matrix, regressor, rnea, simulate, \
+    total_energy
 from .kinematics import IKResult, Pose, forward_kinematics, inverse_kinematics, \
     link_jacobian
 from .learn import ParamStore, TrajectoryDataset, TrainReport, fit, generate_dataset, \

@@ -225,21 +225,35 @@ class Var(_Scalar):
         return f"Var({self.value!r}, op={self.op})"
 
 
+def _selected(partial, d, g):
+    """``g = partial * d`` with every element where either factor is zero set
+    to zero, so an infinite or NaN factor there contributes nothing: an array
+    ``where`` passes its untaken branch a zero adjoint (reverse) or a zero
+    partial (forward), which must cut that branch off even where its own
+    partials are not finite (sqrt at 0)."""
+    if isinstance(g, np.ndarray) and np.isnan(g).any():
+        return np.where((np.asarray(partial) == 0.0) | (np.asarray(d) == 0.0), 0.0, g)
+    return g
+
+
 def backward(y):
     """Backward sweep from scalar output ``y``; fills ``adj`` on its tape."""
     tape = y.tape
     for n in tape.nodes:
         n.adj = None
     y.adj = 1.0
-    for node in reversed(tape.nodes):
-        a = node.adj
-        if a is None:
-            continue
-        for parent, partial in node.parents:
-            g = partial * a
-            if isinstance(g, np.ndarray) and not isinstance(parent.value, np.ndarray):
-                g = float(g.sum())  # un-broadcast onto a scalar parent
-            parent.adj = g if parent.adj is None else parent.adj + g
+    with np.errstate(invalid="ignore"):
+        for node in reversed(tape.nodes):
+            a = node.adj
+            if a is None:
+                continue
+            for parent, partial in node.parents:
+                g = partial * a
+                if isinstance(g, np.ndarray):
+                    g = _selected(partial, a, g)
+                    if not isinstance(parent.value, np.ndarray):
+                        g = float(g.sum())  # un-broadcast onto a scalar parent
+                parent.adj = g if parent.adj is None else parent.adj + g
 
 
 def _raise_first_nonfinite(tape):
@@ -305,11 +319,13 @@ class Dual(_Scalar):
     def _new(self, val, op, parents):
         # chain rule: d result = sum over operands of local partial * d operand
         (x, dx), *rest = parents
-        if rest:
-            (y, dy), = rest
-            partials = [dx * a + dy * b for a, b in zip(x.partials, y.partials)]
-        else:
-            partials = [dx * a for a in x.partials]
+        with np.errstate(invalid="ignore"):
+            if rest:
+                (y, dy), = rest
+                partials = [_selected(dx, a, dx * a) + _selected(dy, b, dy * b)
+                            for a, b in zip(x.partials, y.partials)]
+            else:
+                partials = [_selected(dx, a, dx * a) for a in x.partials]
         if not isinstance(val, np.ndarray):
             # un-broadcast onto a scalar result, as the backward sweep does
             partials = [float(s.sum()) if isinstance(s, np.ndarray) else s for s in partials]
@@ -349,10 +365,14 @@ sin, cos, exp, log, sqrt, acos = (_elementary(*row) for row in _ELEMENTARY)
 def where(cond, a, b):
     """Branch on a boolean (or boolean array) value; differentiable in a, b.
 
-    A plain boolean returns the taken branch itself, so the untaken branch
-    never reaches the derivative (its partials may be inf, e.g. sqrt at 0).
+    A plain boolean (or 0-d array) returns the taken branch itself, so the
+    untaken branch never reaches the derivative (its partials may be inf,
+    e.g. sqrt at 0).  An array condition selects elementwise: the untaken
+    branch's elements get a zero partial, and both modes treat a zero factor
+    of the chain rule as cutting off whatever it multiplies, inf and NaN
+    included.
     """
-    if not isinstance(cond, np.ndarray):
+    if not isinstance(cond, np.ndarray) or cond.ndim == 0:
         return a if cond else b
     take = np.where(cond, 1.0, 0.0)
     parents = tuple((x, d) for x, d in ((a, take), (b, 1.0 - take)) if isinstance(x, _Scalar))

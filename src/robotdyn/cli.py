@@ -293,9 +293,13 @@ def cmd_sysid(args):
                            gravity=_gravity(args), seed=args.seed)
     payload = {"loss_curve": report.losses, "final_loss": report.final_loss,
                "final_params": report.final_params, "iterations": report.iterations,
-               "converged": report.converged, "stop_reason": report.stop_reason}
+               "converged": report.converged, "stop_reason": report.stop_reason,
+               "identifiability": report.identifiability}
+    ident = report.identifiability
     lines = [f"epochs: {report.iterations}", f"final loss: {report.final_loss:.6g}",
-             f"converged: {report.converged} ({report.stop_reason})"]
+             f"converged: {report.converged} ({report.stop_reason})",
+             f"identifiability: rank {ident['rank']} of {ident['parameters']} "
+             f"raw parameters, condition {ident['condition']:.3g}"]
     lines += [f"  {k} = {v}" for k, v in report.final_params.items()]
     _emit(args, payload, lines)
     return EXIT_OK

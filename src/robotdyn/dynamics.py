@@ -1,10 +1,10 @@
 """Rigid-body dynamics on the kinematic tree.
 
 Implements the classic O(n) / O(n^2) recursions over spatial vectors:
-inverse dynamics (recursive Newton-Euler), the joint-space mass matrix
-(composite rigid body), forward dynamics (articulated body), plus an
-independent mass-matrix-factorization route to forward dynamics and a
-fixed-step check integrator.
+inverse dynamics (recursive Newton-Euler) and its regressor in the inertial
+parameters, the joint-space mass matrix (composite rigid body), forward
+dynamics (articulated body), plus an independent mass-matrix-factorization
+route to forward dynamics and a fixed-step check integrator.
 
 Gravity is folded in as a fictitious base acceleration of -g, so a single
 code path serves gravity on and off.  All functions are pure and generic
@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .kinematics import local_transforms
 from .spatial import ForceVector, Mat33, MotionVector, SpatialInertia, Vec3, \
-    cross_force, cross_motion
+    cross_force, cross_motion, rigid_product
 
 DEFAULT_GRAVITY = Vec3(0.0, 0.0, -9.81)
 
@@ -59,6 +59,24 @@ def _first(x, mask):
     return np.broadcast_to(x, np.shape(mask))[mask][0]
 
 
+def _motion_sweep(model, xs, qd, qdd, g):
+    """Outward sweep of body velocities and accelerations, gravity entering as
+    a -g base acceleration; yields (i, v_i, a_i) body by body, so a caller's
+    work on body i runs before body i + 1 is visited."""
+    v = [None] * model.n
+    a = [None] * model.n
+    a_base = MotionVector(Vec3.zero(), -g)
+    for i, body in enumerate(model.bodies):
+        X = xs[i]
+        vp = v[body.parent] if body.parent >= 0 else MotionVector.zero()
+        ap = a[body.parent] if body.parent >= 0 else a_base
+        S = body.subspace
+        vj = S.scale(qd[i])
+        v[i] = X.apply_motion_inv(vp) + vj
+        a[i] = X.apply_motion_inv(ap) + S.scale(qdd[i]) + cross_motion(v[i], vj)
+        yield i, v[i], a[i]
+
+
 def rnea(model, q, qd, qdd, gravity=None, inertias=None):
     """Inverse dynamics: generalized forces for configuration (q, qd, qdd).
 
@@ -76,21 +94,10 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
     _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
-    v = [None] * n
-    a = [None] * n
     f = [None] * n
-    a_base = MotionVector(Vec3.zero(), -g)
-
-    for i, body in enumerate(model.bodies):
-        X = xs[i]
-        vp = v[body.parent] if body.parent >= 0 else MotionVector.zero()
-        ap = a[body.parent] if body.parent >= 0 else a_base
-        S = body.subspace
-        vj = S.scale(qd[i])
-        v[i] = X.apply_motion_inv(vp) + vj
-        a[i] = X.apply_motion_inv(ap) + S.scale(qdd[i]) + cross_motion(v[i], vj)
+    for i, v, a in _motion_sweep(model, xs, qd, qdd, g):
         I = inertias[i]
-        f[i] = I.times_motion(a[i]) + cross_force(v[i], I.times_motion(v[i]))
+        f[i] = I.times_motion(a) + cross_force(v, I.times_motion(v))
 
     tau = [None] * n
     for i in range(n - 1, -1, -1):
@@ -99,6 +106,46 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
         if body.parent >= 0:
             f[body.parent] = f[body.parent] + xs[i].apply_force(f[i])
     return tau
+
+
+def regressor(model, q, qd, qdd, gravity=None):
+    """Inverse dynamics as a linear map of the inertial parameters.
+
+    Returns Y with ``Y @ pi`` equal to ``rnea(model, q, qd, qdd, gravity,
+    inertias)`` (up to rounding), where ``pi`` stacks ``I.params()`` of every
+    body's inertia in body order (10 per body).  For a batched state of shape
+    ``batch`` the result has shape ``batch + (n, 10 n)``.
+
+    One outward sweep, shared with ``rnea``.  Body i's 10 columns are its
+    spatial forces for the 10 unit parameter vectors, evaluated at once as
+    (10, *batch) arrays by the product ``SpatialInertia.times_motion`` uses,
+    then carried up its ancestors by ``apply_force``: one transform per
+    ancestor, not one ``rnea`` per column.
+    """
+    n = model.n
+    _check_len("q", q, n)
+    _check_len("qd", qd, n)
+    _check_len("qdd", qdd, n)
+    g = _as_gravity(gravity)
+    batch = np.broadcast_shapes(*(np.shape(x) for x in (*q, *qd, *qdd)))
+    m, hx, hy, hz, ixx, ixy, ixz, iyy, iyz, izz = \
+        np.eye(10).reshape((10, 10) + (1,) * len(batch))
+    h = Vec3(hx, hy, hz)
+    I = Mat33(ixx, ixy, ixz, ixy, iyy, iyz, ixz, iyz, izz)
+
+    xs = local_transforms(model, q)
+    Y = np.zeros(batch + (n, 10 * n))
+    for i, v, a in _motion_sweep(model, xs, qd, qdd, g):
+        F = rigid_product(m, h, I, a) + cross_force(v, rigid_product(m, h, I, v))
+        k = i
+        while True:
+            col = np.broadcast_to(model.bodies[k].subspace.dot(F), (10,) + batch)
+            Y[..., k, 10 * i:10 * i + 10] = np.moveaxis(col, 0, -1)
+            if model.bodies[k].parent < 0:
+                break
+            F = xs[k].apply_force(F)
+            k = model.bodies[k].parent
+    return Y
 
 
 def gravity_term(model, q, gravity=None, inertias=None):

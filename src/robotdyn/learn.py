@@ -12,9 +12,15 @@ rules this out).
 
 Identification minimizes a torque-regression loss: mean squared difference
 between inverse-dynamics torques predicted with the mapped parameters and
-the recorded torques.  Gradients come from the reverse-mode engine in
-:mod:`robotdyn.autodiff`; the dataset dimension is evaluated as one
-numpy-batched sweep, so the tape length is independent of the sample count.
+the recorded torques.  ``inverse_dynamics_loss`` and ``loss_gradient`` state
+it directly, one numpy-batched ``rnea`` sweep over the dataset taped by the
+reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.
+``fit`` uses that inverse dynamics is linear in each body's 10 inertial
+parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``): it builds Y once
+per call, and each step evaluates the residual Y pi(raw) - tau in floats and
+pulls its gradient (2/N) Y^T r back through the map pi(raw) with one reverse
+sweep over a tape of the map alone, whose length is independent of the
+sample count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dynamics import rnea
+from .dynamics import regressor, rnea
 from .spatial import Mat33, SpatialInertia, Vec3, parallel_axis_term
 
 SPD_EPS = 1e-9  # diagonal floor keeping mapped inertias safely invertible
@@ -252,17 +258,21 @@ def generate_dataset(model, n_samples, q_range=(-np.pi, np.pi), qd_range=(-2.0, 
     return TrajectoryDataset(q, qd, qdd, tau)
 
 
+def _check_dataset(model, dataset):
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    if dataset.n_joints != model.n:
+        raise ValueError(f"dataset has {dataset.n_joints} DoF, model has {model.n}")
+
+
 def inverse_dynamics_loss(store, dataset, raw=None, gravity=None):
     """Mean squared torque residual of the model with mapped parameters.
 
     ``raw`` may hold autodiff scalars; the dataset is evaluated as one
     batched sweep.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     model = store.model
-    if dataset.n_joints != model.n:
-        raise ValueError(f"dataset has {dataset.n_joints} DoF, model has {model.n}")
+    _check_dataset(model, dataset)
     inertias = store.inertias(raw)
     pred = rnea(model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                 gravity=gravity, inertias=inertias)
@@ -281,6 +291,52 @@ def loss_gradient(store, dataset, raw, gravity=None):
                                                         gravity=gravity), raw)
 
 
+def _params(store, raw):
+    """pi(raw): the 10 inertial parameters of every body, in body order."""
+    return [p for inertia in store.inertias(raw) for p in inertia.params()]
+
+
+def _residual(Y, tau, p):
+    """Torque residual Y p - tau, shape (N, n), and its loss sum(r^2) / N."""
+    r = (Y.reshape(-1, Y.shape[-1]) @ np.asarray(p, dtype=float)).reshape(tau.shape) - tau
+    loss = float(np.sum(r * r)) / len(r)
+    if not math.isfinite(loss):
+        raise ad.NonFiniteError("inverse dynamics loss is not finite")
+    return r, loss
+
+
+def _raw_gradient(store, Y, r, raw):
+    """Gradient with respect to ``raw`` of the loss whose residual is ``r``:
+    the parameter gradient (2/N) Y^T r, pulled back through pi(raw) by one
+    reverse sweep of <g_pi, pi(raw)>."""
+    g_pi = Y.reshape(-1, Y.shape[-1]).T @ r.ravel() * (2.0 / len(r))
+
+    def pairing(rs):
+        s = 0.0
+        for g, p in zip(g_pi.tolist(), _params(store, rs)):
+            if isinstance(p, ad.Var):
+                s = s + p * g
+        return s
+
+    return ad.gradient(pairing, raw)
+
+
+def identifiability(store, Y, raw):
+    """Rank and condition of the raw parameters' torque map, Y dpi/draw at ``raw``.
+
+    ``rank`` counts the singular values above ``numpy.linalg.matrix_rank``'s
+    default tolerance, sigma_max * max(A.shape) * eps, and ``condition`` is
+    sigma_max / sigma_rank (finite even when the data cannot determine every
+    raw parameter; infinite only at rank 0).
+    """
+    J = ad.jacobian_fwd(lambda rs: _params(store, rs), list(raw))
+    A = Y.reshape(-1, J.shape[0]) @ J
+    s = np.linalg.svd(A, compute_uv=False)
+    rank = int(np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps))
+    return {"parameters": store.size, "rank": rank,
+            "condition": float(s[0] / s[rank - 1]) if rank else math.inf}
+
+
 @dataclass
 class TrainReport:
     losses: list
@@ -289,6 +345,7 @@ class TrainReport:
     iterations: int
     converged: bool    # the loss fell below ``tol``
     stop_reason: str   # "tol", "plateau" or "max_epochs"
+    identifiability: dict  # {"parameters", "rank", "condition"} at the final raw
 
 
 def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
@@ -301,13 +358,25 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     "tol", the only one reported as converged), when halving the learning
     rate after every ``patience`` epochs without a relative improvement of
     ``rel_tol`` has shrunk it ~1e-9x ("plateau"), or after ``epochs``
-    ("max_epochs").  Divergence (loss above 1e12 or non-finite) raises with
-    the epoch index.
+    ("max_epochs").  Divergence (loss above 1e12) raises ``RuntimeError``
+    with the epoch index, a non-finite loss ``NonFiniteError``.
+
+    The loss is ``inverse_dynamics_loss``, evaluated through the inertial
+    regressor: Y is built once per call, each step (each minibatch, with
+    ``batch_size``) takes the residual r = Y pi(raw) - tau on its rows in
+    floats and its gradient from (2/N) Y^T r and a tape of pi(raw) alone, and
+    each epoch's loss is sum(r^2)/N over the whole dataset, whose residual
+    also serves the next full-batch step.  No step runs ``rnea``.  The report
+    carries ``identifiability`` at the final raw vector.
     """
     if store.size == 0:
         raise ValueError("no learnable parameters registered")
     if optimizer not in ("gd", "adam"):
         raise ValueError(f"unknown optimizer '{optimizer}'")
+    _check_dataset(store.model, dataset)
+    Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
+                  gravity=gravity)
+    tau = dataset.tau
     raw = store.raw.astype(float).copy()
     m = np.zeros_like(raw)
     v = np.zeros_like(raw)
@@ -322,15 +391,22 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     since_best = 0
     cur_lr = learning_rate
     adam_t = 0
+    r = None  # residual of every sample at the current raw, when known
     for epoch in range(1, epochs + 1):
         if batch_size is None or batch_size >= len(dataset):
-            batches = [dataset]
+            batches = [None]
         else:
             order = rng.permutation(len(dataset))
-            batches = [dataset.subset(order[i:i + batch_size])
-                       for i in range(0, len(order), batch_size)]
-        for batch in batches:
-            g = loss_gradient(store, batch, list(raw), gravity=gravity)
+            batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+        for rows in batches:
+            if rows is None:
+                if r is None:
+                    r, _ = _residual(Y, tau, _params(store, list(raw)))
+                Yb, rb = Y, r
+            else:
+                Yb = Y[rows]
+                rb, _ = _residual(Yb, tau[rows], _params(store, list(raw)))
+            g = _raw_gradient(store, Yb, rb, list(raw))
             if optimizer == "gd":
                 raw -= cur_lr * g
             else:
@@ -340,9 +416,8 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
                 mhat = m / (1.0 - beta1 ** adam_t)
                 vhat = v / (1.0 - beta2 ** adam_t)
                 raw -= cur_lr * mhat / (np.sqrt(vhat) + eps)
-        loss = float(ad.value(inverse_dynamics_loss(store, dataset, list(raw),
-                                                    gravity=gravity)))
-        if not np.isfinite(loss) or loss > 1e12:
+        r, loss = _residual(Y, tau, _params(store, list(raw)))
+        if loss > 1e12:
             raise RuntimeError(f"training diverged at epoch {epoch} (loss {loss:g})")
         losses.append(loss)
         if loss < best_loss * (1.0 - rel_tol):
@@ -362,6 +437,7 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
                 stop_reason = "plateau"
                 break
             raw = best_raw.copy()
+            r = None
             m[:] = 0.0
             v[:] = 0.0
             adam_t = 0
@@ -373,4 +449,5 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     store.raw = raw
     return TrainReport(losses=losses, final_loss=losses[-1],
                        final_params=store.physical_values(), iterations=epoch,
-                       converged=stop_reason == "tol", stop_reason=stop_reason)
+                       converged=stop_reason == "tol", stop_reason=stop_reason,
+                       identifiability=identifiability(store, Y, raw))

@@ -345,10 +345,20 @@ class SpatialInertia:
 
     def times_motion(self, v):
         """Momentum-type force vector of the 6x6 origin-referenced inertia."""
-        h = self.com.scale(self.mass)  # first mass moment
-        tau = self.rot_inertia.matvec(v.ang) + h.cross(v.lin)
-        F = v.lin.scale(self.mass) + v.ang.cross(h)
-        return ForceVector(tau, F)
+        return rigid_product(self.mass, self.com.scale(self.mass), self.rot_inertia, v)
+
+    def params(self):
+        """The 10 inertial parameters (m, hx, hy, hz, Ixx, Ixy, Ixz, Iyy, Iyz, Izz),
+        h = m c, in which ``times_motion`` is linear."""
+        h, I = self.com.scale(self.mass), self.rot_inertia
+        return [self.mass, h.x, h.y, h.z, I.a, I.b, I.c, I.e, I.f, I.i]
+
+    @staticmethod
+    def from_params(p):
+        """Inverse of ``params`` (the mass must be nonzero)."""
+        m = p[0]
+        return SpatialInertia(m, Vec3(p[1] / m, p[2] / m, p[3] / m),
+                              Mat33(p[4], p[5], p[6], p[5], p[7], p[8], p[6], p[8], p[9]))
 
     def transform(self, X):
         """Re-express in the parent frame of ``X`` (child -> parent)."""
@@ -369,6 +379,15 @@ class SpatialInertia:
 
     def __repr__(self):
         return f"SpatialInertia(mass={self.mass}, com={self.com}, I={self.rot_inertia})"
+
+
+def rigid_product(m, h, I, v):
+    """The rigid-body inertia with mass ``m``, first mass moment ``h`` and
+    origin-referenced rotational inertia ``I`` times the motion vector ``v``:
+    (I w + h x v_lin, m v_lin + w x h), linear in (m, h, I)."""
+    tau = I.matvec(v.ang) + h.cross(v.lin)
+    F = v.lin.scale(m) + v.ang.cross(h)
+    return ForceVector(tau, F)
 
 
 def parallel_axis_term(mass, c):

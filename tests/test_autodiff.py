@@ -240,6 +240,29 @@ def test_where_at_sqrt_zero_differentiates_taken_branch_in_both_modes():
     assert ad.jacobian_fwd(lambda xs: [f(xs)], [0.0]).tolist() == [[0.0]]
 
 
+V_WHERE = np.array([1.0, 0.0, 4.0, -1.0])
+
+
+def _where_sqrt(xs):
+    # x*V is 0 at element 1 (and everywhere at x = 0) and negative at element
+    # 3: the untaken sqrt branch has an infinite or NaN partial there
+    xv = xs[0] * V_WHERE
+    return ad.asum(ad.where(ad.value(xv) > 0.0, ad.sqrt(xv), 0.0 * xs[0]))
+
+
+@pytest.mark.parametrize("x,want", [(1.0, 0.5 + 1.0), (0.0, 0.0), (-1.0, -0.5)])
+def test_where_array_condition_cuts_off_untaken_branch_in_both_modes(x, want):
+    assert ad.gradient(_where_sqrt, [x]).tolist() == [want]
+    assert ad.jacobian_fwd(lambda xs: [_where_sqrt(xs)], [x]).tolist() == [[want]]
+
+
+def test_where_zero_d_array_condition_cuts_off_untaken_branch():
+    f = lambda xs: ad.where(np.asarray(ad.value(xs[0]) > 0.0), ad.sqrt(xs[0]), 0.0 * xs[0])
+    assert float(ad.gradient(f, [0.0])[0]) == 0.0
+    assert float(ad.jacobian_fwd(lambda xs: [f(xs)], [0.0])[0][0]) == 0.0
+    np.testing.assert_allclose(ad.gradient(f, [4.0]), [0.25], rtol=1e-15)
+
+
 def test_where_on_plain_condition_returns_taken_branch():
     x = ad.Tape().var(2.0)
     assert ad.where(True, x, 1.0) is x

@@ -292,6 +292,24 @@ def test_sysid_reports_stop_reason(capsys, tmp_path):
     assert "converged: False (max_epochs)" in out
 
 
+def test_sysid_reports_identifiability(capsys, tmp_path):
+    # the pendulum turns about y, so com_y never reaches the torque
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "50", "--out", str(data))
+    argv = ("sysid", fx("pendulum"), "--data", str(data), "--learn", "bob:com",
+            "--epochs", "3")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    ident = doc["identifiability"]
+    assert sorted(ident) == ["condition", "parameters", "rank"]
+    assert (ident["parameters"], ident["rank"]) == (3, 2)
+    assert 1.0 <= ident["condition"] < 1e6
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert (f"identifiability: rank 2 of 3 raw parameters, "
+            f"condition {ident['condition']:.3g}\n") in out
+
+
 def test_sysid_missing_link_exits_2(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out",

@@ -16,6 +16,7 @@ from robotdyn.dynamics import (
     gravity_term,
     mass_matrix,
     potential_energy,
+    regressor,
     rnea,
     simulate,
     total_energy,
@@ -119,6 +120,65 @@ def test_rnea_is_linear_in_qdd(six_dof):
     h = np.array(bias_force(six_dof, list(q), list(qd)))
     M = np.asarray(mass_matrix(six_dof, list(q)))
     np.testing.assert_allclose(tau - h, M @ qdd, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# inertial regressor
+
+
+def stacked_params(inertias):
+    return np.array([p for I in inertias for p in I.params()])
+
+
+def assert_regressor_matches_rnea(model, q, qd, qdd, gravity=None, inertias=None):
+    """regressor(...) @ pi equals batched rnea to 1e-12 relative (state columns
+    are (N,) arrays)."""
+    inertias = model.inertias() if inertias is None else inertias
+    Y = regressor(model, q, qd, qdd, gravity=gravity)
+    N = len(q[0])
+    assert Y.shape == (N, model.n, 10 * model.n)
+    want = np.stack([np.broadcast_to(t, (N,)) for t in
+                     rnea(model, q, qd, qdd, gravity=gravity, inertias=inertias)], axis=1)
+    got = Y @ stacked_params(inertias)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("gravity", [None, NO_GRAVITY, (1.0, -2.0, 3.0)])
+def test_regressor_times_params_equals_rnea(all_models, gravity):
+    rng = np.random.default_rng(31)
+    for model in all_models:
+        q, qd, qdd = (list(rng.uniform(-2.0, 2.0, (64, model.n)).T) for _ in range(3))
+        assert_regressor_matches_rnea(model, q, qd, qdd, gravity=gravity)
+
+
+def test_regressor_is_linear_in_any_inertias(six_dof):
+    # the same Y serves every parameter vector, not only the model's
+    rng = np.random.default_rng(32)
+    q, qd, qdd = (list(rng.uniform(-2.0, 2.0, (16, 6)).T) for _ in range(3))
+    inertias = [SpatialInertia(I.mass * rng.uniform(0.5, 2.0),
+                               I.com + rd.Vec3(*rng.uniform(-0.1, 0.1, 3)),
+                               I.rot_inertia.scale(rng.uniform(0.5, 2.0)))
+                for I in six_dof.inertias()]
+    assert_regressor_matches_rnea(six_dof, q, qd, qdd, inertias=inertias)
+
+
+def test_regressor_scalar_state_is_one_batch_row(six_dof):
+    rng = np.random.default_rng(33)
+    q, qd, qdd = (rng.uniform(-2.0, 2.0, (5, 6)) for _ in range(3))
+    Y = regressor(six_dof, list(q.T), list(qd.T), list(qdd.T))
+    for k in range(5):
+        Yk = regressor(six_dof, q[k].tolist(), qd[k].tolist(), qdd[k].tolist())
+        assert Yk.shape == (6, 60)
+        np.testing.assert_allclose(Yk, Y[k], rtol=1e-14, atol=1e-14)
+    # body i only loads itself and its ancestors: on a serial chain the
+    # blocks below the diagonal vanish
+    for j in range(6):
+        assert np.all(Y[:, j, :10 * j] == 0.0)
+
+
+def test_regressor_rejects_wrong_state_length(six_dof):
+    with pytest.raises(ValueError, match="qd must have length 6"):
+        regressor(six_dof, [0.0] * 6, [0.0] * 5, [0.0] * 6)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
-from robotdyn.dynamics import rnea
+from robotdyn import learn
+from robotdyn.dynamics import regressor, rnea
 from robotdyn.learn import (
     SPD_EPS,
     ParamStore,
@@ -309,6 +310,89 @@ def test_loss_gradient_matches_finite_difference(pendulum):
         fd = (float(ad.value(inverse_dynamics_loss(store, ds, rp)))
               - float(ad.value(inverse_dynamics_loss(store, ds, rm)))) / (2 * step)
         assert abs(g[i] - fd) / max(1.0, abs(g[i])) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the regressor-based gradient that fit steps with
+
+
+def assert_fit_gradient_matches_loss_gradient(store, dataset, raw, rows=None,
+                                              gravity=None):
+    """The loss and gradient of one ``fit`` step at ``raw`` (on ``rows`` or all)
+    equal the rnea-taped reference to 1e-10 relative.
+
+    Where the learned fields barely reach the torques the reference can be 0
+    (a CoM on the joint axis, say), and rounding alone separates the two; the
+    floors bound that rounding by the data's scale: sum(tau^2)/N for the loss,
+    (2/N) |Y| |dpi/draw| |tau| for the gradient.
+    """
+    Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T),
+                  list(dataset.qdd.T), gravity=gravity)
+    sub = dataset if rows is None else dataset.subset(rows)
+    Y = Y if rows is None else Y[rows]
+    r, loss = learn._residual(Y, sub.tau, learn._params(store, list(raw)))
+    g = learn._raw_gradient(store, Y, r, list(raw))
+    want = loss_gradient(store, sub, list(raw), gravity=gravity)
+    want_loss = float(ad.value(inverse_dynamics_loss(store, sub, list(raw),
+                                                     gravity=gravity)))
+    J = ad.jacobian_fwd(lambda rs: learn._params(store, rs), list(raw))
+    tau_norm = np.linalg.norm(sub.tau)
+    assert abs(loss - want_loss) <= 1e-10 * want_loss + 1e-20 * tau_norm ** 2 / len(sub)
+    g_scale = 2.0 / len(sub) * np.linalg.norm(Y) * np.linalg.norm(J) * tau_norm
+    assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want) + 1e-12 * g_scale
+
+
+FIELD_SETS = (("mass",), ("com",), ("rot_inertia",), ("mass", "com", "rot_inertia"))
+
+
+@pytest.mark.parametrize("fields", FIELD_SETS, ids="+".join)
+@pytest.mark.parametrize("gravity", [None, (0.0, 0.0, 0.0)], ids=["gravity", "no_gravity"])
+def test_fit_gradient_equals_loss_gradient(six_dof, fields, gravity):
+    ds = generate_dataset(six_dof, 60, seed=21, gravity=gravity)
+    store = ParamStore(six_dof)
+    for link in ("link2", "link4"):
+        for field in fields:
+            store.make_learnable(link, field)
+    raw = store.raw + np.random.default_rng(22).normal(0.0, 0.2, store.size)
+    assert_fit_gradient_matches_loss_gradient(store, ds, raw, gravity=gravity)
+    rows = np.random.default_rng(23).permutation(60)[:16]   # a minibatch
+    assert_fit_gradient_matches_loss_gradient(store, ds, raw, rows=rows, gravity=gravity)
+
+
+def test_fit_records_only_scalar_tape_nodes_and_runs_no_rnea(six_dof, monkeypatch):
+    # every Var of a fit is a scalar: the tape holds the map pi(raw), never
+    # an N-length array; inverse dynamics comes from the regressor alone
+    ds = generate_dataset(six_dof, 200, seed=24)
+    values = []
+    record = ad.Tape.var
+
+    def var(self, val, op="input", parents=()):
+        values.append(val)
+        return record(self, val, op, parents)
+
+    def no_rnea(*args, **kwargs):
+        raise AssertionError("fit ran rnea")
+
+    monkeypatch.setattr(ad.Tape, "var", var)
+    monkeypatch.setattr(learn, "rnea", no_rnea)
+    for batch_size in (None, 64):
+        store = ParamStore(six_dof)
+        for link, field in (("link2", "mass"), ("link3", "com"), ("link4", "rot_inertia")):
+            store.make_learnable(link, field)
+        fit(store, ds, epochs=3, batch_size=batch_size)
+    assert values and not any(isinstance(v, np.ndarray) for v in values)
+
+
+def test_fit_reports_identifiability(pendulum, pendulum_mass2):
+    # the pendulum turns about y: com_y never reaches the torque, so 2 of the
+    # 3 CoM coordinates are identifiable
+    ds = generate_dataset(pendulum, 100, seed=25)
+    report = fit(make_learnable(pendulum_mass2, "bob", "com"), ds, epochs=3)
+    ident = report.identifiability
+    assert (ident["parameters"], ident["rank"]) == (3, 2)
+    assert 1.0 <= ident["condition"] < 1e6
+    report = fit(make_learnable(pendulum_mass2, "bob", "mass"), ds, epochs=3)
+    assert report.identifiability == {"parameters": 1, "rank": 1, "condition": 1.0}
 
 
 # ---------------------------------------------------------------------------

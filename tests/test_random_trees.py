@@ -1,7 +1,8 @@
 """Property tests on random valid URDF trees: the cross-algorithm oracles of
 ``robot check``, the straight-line ``aba`` kernel against the generic
-``aba``, an independent forward-kinematics oracle, and the analytic IK
-gradient against reverse-mode AD.
+``aba``, an independent forward-kinematics oracle, the analytic IK
+gradient against reverse-mode AD, and the inertial regressor (and the
+identification gradient built on it) against batched ``rnea``.
 
 Trees have 1-6 movable joints (revolute, continuous, prismatic) and 0-3
 fixed joints, each attached under a random earlier link, so chains branch.
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robotdyn as rd
-from robotdyn import selfcheck
+from robotdyn import learn, selfcheck
 from robotdyn.dynamics import aba
 from robotdyn.tracing import trace_kernel
 from conftest import random_state, urdf_text
+from test_dynamics import assert_regressor_matches_rnea
 from test_kinematics import assert_ik_gradient_matches_ad
+from test_learn import FIELD_SETS, assert_fit_gradient_matches_loss_gradient
 
 MOVABLE = ("revolute", "continuous", "prismatic")
 ALGEBRA_CHECKS = ("aba_rnea_roundtrip", "crba_columns", "aba_vs_cholesky",
@@ -165,3 +168,33 @@ def test_random_tree_ik_gradient_equals_ad_gradient(tree, values):
     poses = rd.forward_kinematics(model, q_target)
     for link in model.link_names():
         assert_ik_gradient_matches_ad(model, link, q, poses[link])
+
+
+GRAVITIES = (None, (0.0, 0.0, 0.0))
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees(), st.sampled_from(GRAVITIES))
+def test_random_tree_regressor_equals_rnea(tree, gravity):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    rng = np.random.default_rng(0)
+    q, qd, qdd = (list(rng.uniform(-3.0, 3.0, (20, model.n)).T) for _ in range(3))
+    assert_regressor_matches_rnea(model, q, qd, qdd, gravity=gravity)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees(), st.sampled_from(GRAVITIES), st.sampled_from(FIELD_SETS),
+       st.integers(0, 5))
+def test_random_tree_fit_gradient_equals_loss_gradient(tree, gravity, fields, pick):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    ds = learn.generate_dataset(model, 24, seed=1, gravity=gravity)
+    store = learn.ParamStore(model)
+    for field in fields:
+        store.make_learnable(model.bodies[pick % model.n].name, field)
+    rng = np.random.default_rng(2)
+    raw = store.raw + rng.normal(0.0, 0.2, store.size)
+    assert_fit_gradient_matches_loss_gradient(store, ds, raw, gravity=gravity)
+    assert_fit_gradient_matches_loss_gradient(store, ds, raw, rows=rng.permutation(24)[:8],
+                                              gravity=gravity)

@@ -20,6 +20,7 @@ from robotdyn.spatial import (
     cross_force,
     cross_motion,
     parallel_axis_term,
+    rigid_product,
     rot_axis_angle,
     rot_x,
     rot_y,
@@ -400,6 +401,36 @@ def test_inertia_times_motion_matches_6x6_oracle():
         got = np.array(I.times_motion(v).tolist())
         want = inertia_matrix(I) @ np.array(v.tolist())
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_inertia_params_roundtrip_and_layout():
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        I = random_inertia(rng)
+        p = I.params()
+        h = I.com.scale(I.mass)
+        R = np.array(I.rot_inertia.rows())
+        assert p == [I.mass, h.x, h.y, h.z, R[0, 0], R[0, 1], R[0, 2], R[1, 1], R[1, 2],
+                     R[2, 2]]
+        back = SpatialInertia.from_params(p)
+        np.testing.assert_allclose(back.mass, I.mass, rtol=1e-15)
+        np.testing.assert_allclose(back.com.values(), I.com.values(), rtol=1e-14)
+        assert back.rot_inertia.rows() == I.rot_inertia.rows()
+
+
+def test_times_motion_is_linear_in_params():
+    # the product of the 10 unit parameter vectors, stacked, is the matrix of
+    # the map pi -> I v; evaluated as one array per entry, as the regressor does
+    rng = np.random.default_rng(19)
+    unit = np.eye(10)
+    m, hx, hy, hz, ixx, ixy, ixz, iyy, iyz, izz = unit
+    cols = (m, Vec3(hx, hy, hz), Mat33(ixx, ixy, ixz, ixy, iyy, iyz, ixz, iyz, izz))
+    for _ in range(10):
+        I = random_inertia(rng)
+        v = random_motion(rng)
+        Y = np.array(rigid_product(*cols, v).tolist())   # (6, 10)
+        got = I.times_motion(v).tolist()
+        np.testing.assert_allclose(Y @ np.array(I.params()), got, rtol=1e-13, atol=1e-13)
 
 
 def test_inertia_transform_identity():
