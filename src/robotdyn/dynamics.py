@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .kinematics import local_transforms
 from .spatial import ForceVector, Mat33, MotionVector, SpatialInertia, Vec3, \
-    cross_force, cross_motion, rigid_product
+    cross_force, cross_motion, inertia_bilinear
 
 DEFAULT_GRAVITY = Vec3(0.0, 0.0, -9.81)
 
@@ -116,11 +116,14 @@ def regressor(model, q, qd, qdd, gravity=None):
     body's inertia in body order (10 per body).  For a batched state of shape
     ``batch`` the result has shape ``batch + (n, 10 n)``.
 
-    One outward sweep, shared with ``rnea``.  Body i's 10 columns are its
-    spatial forces for the 10 unit parameter vectors, evaluated at once as
-    (10, *batch) arrays by the product ``SpatialInertia.times_motion`` uses,
-    then carried up its ancestors by ``apply_force``: one transform per
-    ancestor, not one ``rnea`` per column.
+    One outward sweep, shared with ``rnea``.  Joint j's torque from body i's
+    force f_i = I a_i + v_i x* I v_i is s_ij . f_i, where s_ij is joint j's
+    axis expressed in body i's frame, so the block Y[..., j, 10 i:10 i + 10]
+    holds the coefficients of s_ij^T I a_i - (v_i x s_ij)^T I v_i
+    (``spatial.inertia_bilinear``; Featherstone 2008, ch. 2).  Every ancestor
+    axis is carried one transform down to each body, s_ij = X_i^-1 s_{j,parent},
+    with s_ii the body's own axis: motion vectors of one array per entry.
+    Blocks of joints that are not body i or an ancestor of it stay zero.
     """
     n = model.n
     _check_len("q", q, n)
@@ -128,23 +131,19 @@ def regressor(model, q, qd, qdd, gravity=None):
     _check_len("qdd", qdd, n)
     g = _as_gravity(gravity)
     batch = np.broadcast_shapes(*(np.shape(x) for x in (*q, *qd, *qdd)))
-    m, hx, hy, hz, ixx, ixy, ixz, iyy, iyz, izz = \
-        np.eye(10).reshape((10, 10) + (1,) * len(batch))
-    h = Vec3(hx, hy, hz)
-    I = Mat33(ixx, ixy, ixz, ixy, iyy, iyz, ixz, iyz, izz)
 
     xs = local_transforms(model, q)
     Y = np.zeros(batch + (n, 10 * n))
+    axes = [None] * n  # axes[i]: {j: s_ij} for joint i and its ancestors
     for i, v, a in _motion_sweep(model, xs, qd, qdd, g):
-        F = rigid_product(m, h, I, a) + cross_force(v, rigid_product(m, h, I, v))
-        k = i
-        while True:
-            col = np.broadcast_to(model.bodies[k].subspace.dot(F), (10,) + batch)
-            Y[..., k, 10 * i:10 * i + 10] = np.moveaxis(col, 0, -1)
-            if model.bodies[k].parent < 0:
-                break
-            F = xs[k].apply_force(F)
-            k = model.bodies[k].parent
+        body = model.bodies[i]
+        axes[i] = {} if body.parent < 0 else \
+            {j: xs[i].apply_motion_inv(s) for j, s in axes[body.parent].items()}
+        axes[i][i] = body.subspace
+        for j, s in axes[i].items():
+            terms = zip(inertia_bilinear(s, a), inertia_bilinear(cross_motion(v, s), v))
+            for k, (p, r) in enumerate(terms):
+                Y[..., j, 10 * i + k] = p - r
     return Y
 
 

@@ -16,8 +16,10 @@ the recorded torques.  ``inverse_dynamics_loss`` and ``loss_gradient`` state
 it directly, one numpy-batched ``rnea`` sweep over the dataset taped by the
 reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.
 ``fit`` uses that inverse dynamics is linear in each body's 10 inertial
-parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``): it builds Y once
-per call, and each step evaluates the residual Y pi(raw) - tau in floats and
+parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``, which carries
+each joint's axis down to every body it moves and takes each block of Y as
+the 10 coefficients of ``spatial.inertia_bilinear``): it builds Y once per
+call, and each step evaluates the residual Y pi(raw) - tau in floats and
 pulls its gradient (2/N) Y^T r back through the map pi(raw) with one reverse
 sweep over a tape of the map alone, whose length is independent of the
 sample count.
@@ -43,12 +45,13 @@ def positive_scalar_map(raw):
 
     Both tails use their asymptotic forms: the upper to avoid exp overflow,
     the lower because log(1 + exp(raw)) underflows to exactly zero there.
+    A NaN raw maps to NaN (the clamps would map it to softplus(-30)).
     """
     capped = ad.minimum(ad.maximum(raw, -30.0), 30.0)
     mid = ad.log(1.0 + ad.exp(capped))
     low = ad.exp(ad.maximum(raw, -745.0))  # softplus(x) ~ exp(x) as x -> -inf
     val = np.asarray(ad.value(raw))
-    return ad.where(val > 30.0, raw, ad.where(val < -30.0, low, mid))
+    return ad.where((val > 30.0) | np.isnan(val), raw, ad.where(val < -30.0, low, mid))
 
 
 def positive_scalar_init(target):
@@ -225,16 +228,45 @@ class TrajectoryDataset:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ValueError(f"{path}:{lineno}: bad JSON: {e}") from None
-                for key in rows:
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{path}:{lineno}: record is not a JSON object")
+                for key, column in rows.items():
                     if key not in rec:
                         raise ValueError(f"{path}:{lineno}: missing '{key}'")
-                    rows[key].append(rec[key])
+                    value = rec[key]
+                    if not isinstance(value, list):
+                        raise ValueError(f"{path}:{lineno}: '{key}' is not a list")
+                    column.append(value)
         if not rows["q"]:
             raise ValueError(f"{path}: empty dataset")
         lengths = {len(v) for row in rows.values() for v in row}
         if len(lengths) != 1:
             raise ValueError(f"{path}: records have mixed vector lengths {sorted(lengths)}")
-        return cls(rows["q"], rows["qd"], rows["qdd"], rows["tau"])
+        try:
+            arrays = [np.array(column) for column in rows.values()]
+        except ValueError:  # an entry is a list itself
+            raise ValueError(_non_number(path, rows)) from None
+        if any(a.ndim != 2 or a.dtype.kind not in "biuf" for a in arrays):
+            raise ValueError(_non_number(path, rows))
+        return cls(*arrays)
+
+
+def _non_number(path, keys):
+    """The line and entry of the first entry of a JSONL dataset that numpy does
+    not read as a number: the error path of ``load_jsonl``, which reads the
+    file again to find it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            for key in keys:
+                for x in rec[key]:
+                    a = np.array(x)
+                    if a.ndim or a.dtype.kind not in "biuf":
+                        return (f"{path}:{lineno}: '{key}' entry {x!r} is not a float "
+                                f"or a 64-bit integer")
+    return f"{path}: entries are not all floats or 64-bit integers"
 
 
 def generate_dataset(model, n_samples, q_range=(-np.pi, np.pi), qd_range=(-2.0, 2.0),
@@ -359,7 +391,9 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     rate after every ``patience`` epochs without a relative improvement of
     ``rel_tol`` has shrunk it ~1e-9x ("plateau"), or after ``epochs``
     ("max_epochs").  Divergence (loss above 1e12) raises ``RuntimeError``
-    with the epoch index, a non-finite loss ``NonFiniteError``.
+    with the epoch index, a non-finite loss ``NonFiniteError``; a
+    ``learning_rate`` that is not positive and finite, or an ``epochs`` or
+    ``batch_size`` below 1, raises ``ValueError`` before any work.
 
     The loss is ``inverse_dynamics_loss``, evaluated through the inertial
     regressor: Y is built once per call, each step (each minibatch, with
@@ -373,6 +407,12 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
         raise ValueError("no learnable parameters registered")
     if optimizer not in ("gd", "adam"):
         raise ValueError(f"unknown optimizer '{optimizer}'")
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs!r}")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
     _check_dataset(store.model, dataset)
     Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                   gravity=gravity)

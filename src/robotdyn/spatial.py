@@ -390,6 +390,17 @@ def rigid_product(m, h, I, v):
     return ForceVector(tau, F)
 
 
+def inertia_bilinear(x, y):
+    """The 10 coefficients of x^T I y in the parameters (m, h, Ixx, Ixy, Ixz, Iyy,
+    Iyz, Izz) of ``SpatialInertia.params``, for motion vectors ``x`` and ``y``:
+    the bilinear form of ``rigid_product``, symmetric in x and y."""
+    xa, xl, ya, yl = x.ang, x.lin, y.ang, y.lin
+    h = yl.cross(xa) + xl.cross(ya)
+    return [xl.dot(yl), h.x, h.y, h.z,
+            xa.x * ya.x, xa.x * ya.y + xa.y * ya.x, xa.x * ya.z + xa.z * ya.x,
+            xa.y * ya.y, xa.y * ya.z + xa.z * ya.y, xa.z * ya.z]
+
+
 def parallel_axis_term(mass, c):
     """m (|c|^2 E - c c^T): shift of a rotational inertia away from the CoM."""
     return (Mat33.identity().scale(c.norm_sq()) - Mat33.outer(c, c)).scale(mass)

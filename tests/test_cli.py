@@ -310,6 +310,27 @@ def test_sysid_reports_identifiability(capsys, tmp_path):
             f"condition {ident['condition']:.3g}\n") in out
 
 
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "nan"),
+                                         ("--lr", "-0.01")])
+def test_sysid_rejects_bad_fit_arguments_with_exit_2(capsys, tmp_path, flag, value):
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out", str(data))
+    code, out, err = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
+                             "--learn", "bob:mass", flag, value)
+    assert (code, out) == (2, "")
+    name = "epochs" if flag == "--epochs" else "learning_rate"
+    assert err.startswith(f"error: {name} must be")
+
+
+def test_sysid_malformed_record_exits_2(capsys, tmp_path):
+    data = tmp_path / "train.jsonl"
+    data.write_text('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [0.0]}\n5\n')
+    code, out, err = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
+                             "--learn", "bob:mass")
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}:2: record is not a JSON object\n"
+
+
 def test_sysid_missing_link_exits_2(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out",

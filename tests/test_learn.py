@@ -48,6 +48,16 @@ def test_softplus_is_strictly_monotonic():
     assert all(v > 0 for v in vals)
 
 
+def test_softplus_maps_nan_to_nan(pendulum):
+    # the clamps alone would take -30 for NaN and report softplus(-30) ~ 9.4e-14
+    assert math.isnan(positive_scalar_map(math.nan))
+    got = positive_scalar_map(np.array([math.nan, 0.0, 50.0, -50.0]))
+    assert math.isnan(got[0])
+    np.testing.assert_allclose(got[1:], [math.log(2.0), 50.0, math.exp(-50.0)], rtol=1e-15)
+    store = make_learnable(pendulum, "bob", "mass")
+    assert math.isnan(store.physical_values([math.nan])["bob.mass"])
+
+
 def test_softplus_init_closed_forms():
     np.testing.assert_allclose(positive_scalar_init(math.log(2.0)), 0.0,
                                atol=1e-12)
@@ -244,6 +254,25 @@ def test_dataset_load_rejects_bad_input(tmp_path):
     missing.write_text('{"q": [0.0], "qd": [0.0], "qdd": [0.0]}\n')
     with pytest.raises(ValueError):
         TrajectoryDataset.load_jsonl(missing)
+
+
+@pytest.mark.parametrize("record, message", [
+    ("5", "record is not a JSON object"),
+    ('{"q": 1, "qd": [0.0], "qdd": [0.0], "tau": [0.0]}', "'q' is not a list"),
+    ('{"q": [0.0], "qd": ["a"], "qdd": [0.0], "tau": [0.0]}',
+     "'qd' entry 'a' is not a float or a 64-bit integer"),
+    ('{"q": [0.0], "qd": [0.0], "qdd": [null], "tau": [0.0]}',
+     "'qdd' entry None is not a float or a 64-bit integer"),
+    ('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [[1.0]]}',
+     "'tau' entry [1.0] is not a float or a 64-bit integer"),
+])
+def test_dataset_load_names_line_of_malformed_record(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    good = '{"q": [0.5], "qd": [0.0], "qdd": [0.0], "tau": [1]}\n'
+    path.write_text(good + "\n" + record + "\n" + good)
+    with pytest.raises(ValueError) as exc:
+        TrajectoryDataset.load_jsonl(path)
+    assert str(exc.value) == f"{path}:3: {message}"
 
 
 def test_dataset_rejects_nonfinite_values():
@@ -480,6 +509,20 @@ def test_fit_rejects_unknown_optimizer(pendulum, pendulum_mass2):
     store = make_learnable(pendulum_mass2, "bob", "mass")
     with pytest.raises(ValueError):
         fit(store, ds, optimizer="lbfgs")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"epochs": 0}, "epochs"), ({"learning_rate": math.nan}, "learning_rate"),
+    ({"learning_rate": -0.01}, "learning_rate"), ({"learning_rate": 0.0}, "learning_rate"),
+    ({"learning_rate": math.inf}, "learning_rate"), ({"batch_size": 0}, "batch_size"),
+])
+def test_fit_rejects_arguments_it_cannot_honour(pendulum, pendulum_mass2, kwargs, name):
+    ds = generate_dataset(pendulum, 10, seed=17)
+    store = make_learnable(pendulum_mass2, "bob", "mass")
+    raw = store.raw.copy()
+    with pytest.raises(ValueError, match=name):
+        fit(store, ds, **kwargs)
+    assert np.array_equal(store.raw, raw)
 
 
 def test_fit_divergence_raises_with_epoch(pendulum, pendulum_mass2):

@@ -184,6 +184,25 @@ def test_random_tree_regressor_equals_rnea(tree, gravity):
 
 
 @settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees(), st.sampled_from(GRAVITIES))
+def test_random_tree_regressor_loads_only_ancestor_joints(tree, gravity):
+    # body i's 10 columns reach joint j only when j is i or an ancestor of i
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    rng = np.random.default_rng(0)
+    q, qd, qdd = (list(rng.uniform(-3.0, 3.0, (20, model.n)).T) for _ in range(3))
+    Y = rd.regressor(model, q, qd, qdd, gravity=gravity)
+    for i in range(model.n):
+        loaded, k = set(), i
+        while k >= 0:
+            loaded.add(k)
+            k = model.bodies[k].parent
+        for j in range(model.n):
+            block = Y[:, j, 10 * i:10 * i + 10]
+            assert np.any(block != 0.0) if j in loaded else np.all(block == 0.0)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
 @given(robot_trees(), st.sampled_from(GRAVITIES), st.sampled_from(FIELD_SETS),
        st.integers(0, 5))
 def test_random_tree_fit_gradient_equals_loss_gradient(tree, gravity, fields, pick):

@@ -19,6 +19,7 @@ from robotdyn.spatial import (
     Vec3,
     cross_force,
     cross_motion,
+    inertia_bilinear,
     parallel_axis_term,
     rigid_product,
     rot_axis_angle,
@@ -420,7 +421,7 @@ def test_inertia_params_roundtrip_and_layout():
 
 def test_times_motion_is_linear_in_params():
     # the product of the 10 unit parameter vectors, stacked, is the matrix of
-    # the map pi -> I v; evaluated as one array per entry, as the regressor does
+    # the map pi -> I v, each entry evaluated as one array over the 10 vectors
     rng = np.random.default_rng(19)
     unit = np.eye(10)
     m, hx, hy, hz, ixx, ixy, ixz, iyy, iyz, izz = unit
@@ -431,6 +432,19 @@ def test_times_motion_is_linear_in_params():
         Y = np.array(rigid_product(*cols, v).tolist())   # (6, 10)
         got = I.times_motion(v).tolist()
         np.testing.assert_allclose(Y @ np.array(I.params()), got, rtol=1e-13, atol=1e-13)
+
+
+def test_inertia_bilinear_is_the_form_of_times_motion():
+    # psi(x, y) . pi = x^T I y, and psi is symmetric
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        I = random_inertia(rng)
+        x, y = random_motion(rng), random_motion(rng)
+        psi = np.array(inertia_bilinear(x, y))
+        p = np.array(I.params())
+        want = x.dot(I.times_motion(y))
+        assert abs(psi @ p - want) <= 1e-14 * abs(want)
+        assert inertia_bilinear(y, x) == inertia_bilinear(x, y)
 
 
 def test_inertia_transform_identity():
