@@ -241,7 +241,7 @@ class TrajectoryDataset:
             raise ValueError(f"{path}: empty dataset")
         lengths = {len(v) for row in rows.values() for v in row}
         if len(lengths) != 1:
-            raise ValueError(f"{path}: records have mixed vector lengths {sorted(lengths)}")
+            raise ValueError(_mixed_length(path, rows))
         try:
             arrays = [np.array(column) for column in rows.values()]
         except ValueError:  # an entry is a list itself
@@ -251,22 +251,40 @@ class TrajectoryDataset:
         return cls(*arrays)
 
 
-def _non_number(path, keys):
-    """The line and entry of the first entry of a JSONL dataset that numpy does
-    not read as a number: the error path of ``load_jsonl``, which reads the
-    file again to find it."""
+def _records(path):
+    """(line number, record) of each non-blank line of a JSONL dataset that
+    ``load_jsonl`` has read once: its error paths read the file again to name
+    the line, so a valid file pays nothing for them."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            for key in keys:
-                for x in rec[key]:
-                    a = np.array(x)
-                    if a.ndim or a.dtype.kind not in "biuf":
-                        return (f"{path}:{lineno}: '{key}' entry {x!r} is not a float "
-                                f"or a 64-bit integer")
+        return [(lineno, json.loads(line)) for lineno, line in enumerate(fh, 1)
+                if line.strip()]
+
+
+def _non_number(path, keys):
+    """The line and entry of the first entry that numpy does not read as a
+    number."""
+    for lineno, rec in _records(path):
+        for key in keys:
+            for x in rec[key]:
+                a = np.array(x)
+                if a.ndim or a.dtype.kind not in "biuf":
+                    return (f"{path}:{lineno}: '{key}' entry {x!r} is not a float "
+                            f"or a 64-bit integer")
     return f"{path}: entries are not all floats or 64-bit integers"
+
+
+def _mixed_length(path, keys):
+    """The line and field of the first vector whose length differs from the
+    first record's first field."""
+    expected = None
+    for lineno, rec in _records(path):
+        for key in keys:
+            k = len(rec[key])
+            if expected is None:
+                expected = k
+            elif k != expected:
+                return f"{path}:{lineno}: '{key}' has length {k}, expected {expected}"
+    return f"{path}: records have mixed vector lengths"
 
 
 def generate_dataset(model, n_samples, q_range=(-np.pi, np.pi), qd_range=(-2.0, 2.0),

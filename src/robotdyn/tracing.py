@@ -35,9 +35,50 @@ _EXPRESSIONS = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{}
 # not all do: a denominator, an exponent or exp's argument may not (1/inf, exp(-inf))
 _SPREADS = {"div": 1, "pow": 0, "exp": 0}
 
-# statements per compiled function: compiling a kernel in pieces keeps the
+# operations per compiled function: compiling a kernel in pieces keeps the
 # transient memory of the parser and compiler small
 _CHUNK = 250
+
+# operations per fused expression, outermost included: a bound on the nesting
+# the parser and compiler meet, far below their limits
+_DEPTH = 16
+
+
+def _fuse(statements, pinned):
+    """Fold every temporary read exactly once, by a later assignment, into the
+    expression that reads it, in parentheses, up to ``_DEPTH`` operations deep.
+
+    ``statements`` are (target, template, operands, reads, spreads); a guard
+    has target None.  Names read by a guard or ``pinned``, and names read more
+    than once, stay assigned.  Returns (target, expression, names read,
+    operations) for every statement left: each operation still runs once on
+    the same operands, so only the schedule changes.
+    """
+    uses, pinned = {}, set(pinned)
+    for target, _, _, reads, _ in statements:
+        for name in reads:
+            uses[name] = uses.get(name, 0) + 1
+        if target is None:
+            pinned.update(reads)
+    inline, out = {}, []   # inline: name -> (expression, depth, names read, operations)
+    for target, template, operands, reads, _ in statements:
+        args, depth, names, size = [], 0, set(reads), 1
+        for name in operands:
+            if name in inline:
+                expr, d, sub, n = inline.pop(name)
+                size += n
+                args.append(f"({expr})")
+                depth = max(depth, d)
+                names.discard(name)
+                names.update(sub)
+            else:
+                args.append(name)
+        expr = template.format(*args)
+        if depth + 1 < _DEPTH and uses.get(target) == 1 and target not in pinned:
+            inline[target] = (expr, depth + 1, names, size)
+        else:
+            out.append((target, expr, names, size))
+    return out
 
 
 class Trace:
@@ -53,11 +94,15 @@ class Trace:
     for finiteness, which covers every folded ``x`` whose non-finite value
     would reach an output, and the sum of the other folded ``x``, the
     *witness*.
+
+    Each statement stays structural, an operation's template and its operand
+    names, until ``compile`` renders it: the compiled kernel is nested
+    expressions, not one assignment per operation (see ``_fuse``).
     """
 
     def __init__(self):
-        # (target, expression, names read, names whose non-finite value the
-        # target spreads); a guard has target None
+        # (target, template, operand names, traced names read, names whose
+        # non-finite value the target spreads); a guard has target None
         self.statements = []
         self.constants = {}     # name -> plain number
         self._constant_names = {}
@@ -104,16 +149,28 @@ class Trace:
         reads = tuple(n for x, n in zip(operands, names) if isinstance(x, Traced))
         spreads = tuple(n for x, n in zip(operands[:_SPREADS.get(op, 2)], names)
                         if isinstance(x, Traced))
-        self.statements.append((out.name, _EXPRESSIONS[op].format(*names), reads, spreads))
+        self.statements.append((out.name, _EXPRESSIONS[op], tuple(names), reads, spreads))
         return out
 
     def compile(self, inputs, outputs):
         """``kernel(*lists)`` for the traced ``inputs`` (lists of ``Traced``)
-        and ``outputs``; see ``trace_kernel``."""
+        and ``outputs``; see ``trace_kernel``.
+
+        Dead-code elimination keeps the guards and whatever the outputs and
+        the finiteness test read.  ``_fuse`` then folds each temporary read
+        exactly once, by a later assignment, into the expression that reads
+        it; the outputs, the finiteness sum, the names a guard reads and the
+        names read more than once stay assigned.  This is exact: every IEEE
+        operation still runs once on the same operands, and only their
+        schedule changes.  It may change which error a bad input raises
+        first, but any error, like a guard, makes the kernel return None.
+        The statements are then compiled in functions of about ``_CHUNK``
+        operations each.
+        """
         out_names = [self.name(y) for y in outputs]
         traced = [y for y in outputs if isinstance(y, Traced)]
         covered = {y.name for y in traced}
-        for target, _, _, spreads in reversed(self.statements):
+        for target, _, _, _, spreads in reversed(self.statements):
             if target in covered:
                 covered.update(spreads)
         witness = [Traced(self, name) for name in self.folded if name not in covered]
@@ -132,11 +189,19 @@ class Trace:
         for statement in reversed(self.statements):
             if statement[0] is None or statement[0] in live:
                 kept.append(statement)
-                live.update(statement[2])
+                live.update(statement[3])
         kept.reverse()
+        assigned = _fuse(kept, reads)
 
-        # chunks, last to first: each takes the names the rest still reads
-        chunks = [kept[i:i + _CHUNK] for i in range(0, len(kept), _CHUNK)] or [[]]
+        # chunks of about _CHUNK operations; last to first, each takes the
+        # names it and the chunks after it read
+        chunks, size = [[]], 0
+        for statement in assigned:
+            if size >= _CHUNK:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(statement)
+            size += statement[3]
         params, need = [], reads
         for chunk in reversed(chunks):
             need = set(need)
@@ -181,12 +246,11 @@ class Trace:
 class _Condition:
     """A comparison of traced scalars, known only when the kernel runs."""
 
-    __slots__ = ("trace", "text", "reads")
+    __slots__ = ("trace", "statement")
 
-    def __init__(self, trace, text, reads):
+    def __init__(self, trace, statement):
         self.trace = trace
-        self.text = text
-        self.reads = reads
+        self.statement = statement   # a guard, as ``Trace.statements`` holds it
 
     def __bool__(self):
         raise TraceError("branch on a traced value")
@@ -194,7 +258,7 @@ class _Condition:
     def any(self, axis=None, out=None):
         """``np.any(condition)`` defers here.  The trace takes the condition
         as false, and the kernel bails out when it holds."""
-        self.trace.statements.append((None, self.text, self.reads, ()))
+        self.trace.statements.append(self.statement)
         return False
 
 
@@ -249,7 +313,8 @@ class Traced(_Scalar):
 
     def _compare(self, other, op):
         reads = (self.name, other.name) if isinstance(other, Traced) else (self.name,)
-        return _Condition(self.trace, f"{self.name} {op} {self.trace.name(other)}", reads)
+        return _Condition(self.trace, (None, "{} %s {}" % op,
+                                       (self.name, self.trace.name(other)), reads, ()))
 
     def __lt__(self, other):
         return self._compare(other, "<")

@@ -331,6 +331,16 @@ def test_sysid_malformed_record_exits_2(capsys, tmp_path):
     assert err == f"error: {data}:2: record is not a JSON object\n"
 
 
+def test_sysid_mixed_vector_lengths_exit_2(capsys, tmp_path):
+    data = tmp_path / "train.jsonl"
+    data.write_text('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [0.0]}\n'
+                    '{"q": [0.5, 1], "qd": [0.0], "qdd": [0.0], "tau": [0.0]}\n')
+    code, out, err = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
+                             "--learn", "bob:mass")
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}:2: 'q' has length 2, expected 1\n"
+
+
 def test_sysid_missing_link_exits_2(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out",

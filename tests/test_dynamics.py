@@ -575,11 +575,20 @@ def test_simulate_rejects_bad_arguments(pendulum):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 10, integrator="euler")
 
 
-def _reference_rollout(model, q, qd, torque_fn, dt, steps, integrator):
+def _assert_same_bytes(traj, want):
+    assert len(traj) == len(want)
+    for got, ref in zip(traj, want):
+        assert got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:]):
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+def _reference_rollout(model, q, qd, torque_fn, dt, steps, integrator, gravity=None):
     """Fixed-step rollout calling ``torque_fn`` and ``aba`` at every stage,
     RK4's first one included."""
     def accel(t, q, qd):
-        return np.array(aba(model, list(q), list(qd), list(torque_fn(t, q, qd))))
+        return np.array(aba(model, list(q), list(qd), list(torque_fn(t, q, qd)),
+                            gravity=gravity))
 
     q, qd = np.asarray(q, dtype=float), np.asarray(qd, dtype=float)
     traj = [(0.0, q, qd, accel(0.0, q, qd))]
@@ -614,12 +623,42 @@ def test_simulate_evaluates_each_stage_once(six_dof, integrator, stages):
     steps = 25
     traj = simulate(six_dof, q0, qd0, damping, 2e-3, steps, integrator=integrator)
     assert calls[0] == 1 + stages * steps
-    want = _reference_rollout(six_dof, q0, qd0, damping, 2e-3, steps, integrator)
-    assert len(traj) == len(want)
-    for got, ref in zip(traj, want):
-        assert got[0] == ref[0]
-        for a, b in zip(got[1:], ref[1:]):
-            assert a.tobytes() == b.tobytes()
+    _assert_same_bytes(traj, _reference_rollout(six_dof, q0, qd0, damping, 2e-3, steps,
+                                                integrator))
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit-euler"])
+@pytest.mark.parametrize("name", ["six_dof_arm", "two_link_planar"])
+def test_passive_rollout_equals_reference_bytes(name, integrator):
+    # the path of the energy_drift check: no torque_fn, no gravity
+    model = rd.load_model(rd.fixture_path(name))
+    n, steps = model.n, 40
+    q0, qd0 = np.linspace(-0.4, 0.5, n), np.linspace(0.9, 0.5, n)
+    traj = simulate(model, q0, qd0, None, 1e-3, steps, gravity=NO_GRAVITY,
+                    integrator=integrator)
+    _assert_same_bytes(traj, _reference_rollout(model, q0, qd0, lambda t, q, qd: np.zeros(n),
+                                                1e-3, steps, integrator, gravity=NO_GRAVITY))
+    # every array is fresh: none is a view of another, or of the caller's input
+    arrays = [a for sample in traj for a in sample[1:]]
+    assert all(a.base is None for a in arrays)
+    assert len({id(a) for a in arrays}) == len(arrays)
+    assert not any(np.shares_memory(a, x) for a in arrays for x in (q0, qd0))
+
+
+def test_simulate_takes_torque_as_list_or_none(two_link):
+    seen = []
+
+    def as_array(t, q, qd):
+        seen.append((type(q), type(qd)))
+        return np.array([0.3, -0.2])
+
+    q0, qd0 = [0.2, -0.1], [0.5, 0.4]
+    want = simulate(two_link, q0, qd0, as_array, 1e-3, 20)
+    assert set(seen) == {(np.ndarray, np.ndarray)}
+    _assert_same_bytes(simulate(two_link, q0, qd0, lambda t, q, qd: [0.3, -0.2], 1e-3, 20),
+                       want)
+    _assert_same_bytes(simulate(two_link, q0, qd0, lambda t, q, qd: None, 1e-3, 20),
+                       simulate(two_link, q0, qd0, None, 1e-3, 20))
 
 
 def test_simulate_nonfinite_torque_names_the_step(pendulum):

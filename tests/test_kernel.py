@@ -189,3 +189,20 @@ def test_non_finite_constants_are_bound_by_name():
     kernel = trace_kernel(lambda x: [x[0] / math.inf + x[0], x[0] * 2.0], 1)
     assert kernel([3.0]) == [3.0, 6.0]
     assert trace_kernel(lambda x: [x[0] + math.nan], 1)([1.0]) is None
+
+
+def test_fused_expressions_stay_within_the_nesting_bound():
+    # temporaries read once fold into their reader, but only so deep: long
+    # chains still compile, with the arithmetic of plain floats
+    xs = [1.0 + i / 7.0 for i in range(5000)]
+    kernel = trace_kernel(lambda x: [sum(x[1:], x[0])], 5000)
+    assert kernel(xs) == [sum(xs[1:], xs[0])]
+
+    def chain(x):
+        y = x[0]
+        for _ in range(2500):
+            y = y * x[1] + x[2]
+        return [y]
+
+    args = [0.3, 0.999, 0.001]
+    assert trace_kernel(chain, 3)(args) == chain(args)

@@ -265,6 +265,8 @@ def test_dataset_load_rejects_bad_input(tmp_path):
      "'qdd' entry None is not a float or a 64-bit integer"),
     ('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [[1.0]]}',
      "'tau' entry [1.0] is not a float or a 64-bit integer"),
+    ('{"q": [0.5, 1], "qd": [0.0], "qdd": [0.0], "tau": [0.0]}', "'q' has length 2, expected 1"),
+    ('{"q": [0.5], "qd": [0.0], "qdd": [], "tau": [0.0]}', "'qdd' has length 0, expected 1"),
 ])
 def test_dataset_load_names_line_of_malformed_record(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
