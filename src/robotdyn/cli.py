@@ -87,12 +87,10 @@ def _parse_vec(text, flag):
         raise CliError(f"{flag}: expected comma-separated decimals, got {text!r}")
 
 
-def _vec_n(args, name, n, default_zero=True):
+def _vec_n(args, name, n):
     text = getattr(args, name.replace("-", "_"), None)
     if text is None:
-        if default_zero:
-            return [0.0] * n
-        raise CliError(f"--{name} is required")
+        return [0.0] * n
     v = _parse_vec(text, f"--{name}")
     if len(v) != n:
         raise CliError(f"--{name}: expected {n} values, got {len(v)}")
@@ -280,8 +278,6 @@ def cmd_sysid(args):
         ds = learn_mod.TrajectoryDataset.load_jsonl(args.data)
     except OSError as e:
         raise CliError(f"cannot read {args.data}: {e}")
-    if ds.n_joints != model.n:
-        raise CliError(f"dataset has {ds.n_joints} DoF, model has {model.n}")
     store = learn_mod.ParamStore(model)
     for link, field in _parse_learn_spec(args.learn):
         try:

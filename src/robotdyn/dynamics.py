@@ -42,13 +42,20 @@ def _as_gravity(gravity):
     return Vec3.fromlist(list(gravity))
 
 
-def _require_dynamics(model, inertias):
+def _inertias(model, inertias, **state):
+    """``inertias`` (the model's own if None), after checking that the model
+    has dynamics and that every state vector and the inertias have length n."""
+    for name, v in state.items():
+        _check_len(name, v, model.n)
     if model.kinematics_only:
         raise DynamicsError("dynamics unavailable: model was built kinematics_only")
+    if inertias is None:
+        inertias = model.inertias()
     _check_len("inertias", inertias, model.n)
     for body, I in zip(model.bodies, inertias):
         if I is None:
             raise DynamicsError(f"dynamics unavailable: link '{body.name}' has no inertia")
+    return inertias
 
 
 def _check_len(name, v, n):
@@ -87,13 +94,8 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
     joint axes.  Returns a list of n joint torques/forces.
     """
     n = model.n
-    _check_len("q", q, n)
-    _check_len("qd", qd, n)
-    _check_len("qdd", qdd, n)
+    inertias = _inertias(model, inertias, q=q, qd=qd, qdd=qdd)
     g = _as_gravity(gravity)
-    if inertias is None:
-        inertias = model.inertias()
-    _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
     f = [None] * n
@@ -212,10 +214,7 @@ def mass_matrix(model, q, inertias=None):
     gives the matrix of a float result.
     """
     n = model.n
-    _check_len("q", q, n)
-    if inertias is None:
-        inertias = model.inertias()
-    _require_dynamics(model, inertias)
+    inertias = _inertias(model, inertias, q=q)
 
     xs = local_transforms(model, q)
     Ic = [_ArticulatedInertia.from_rigid(I) for I in inertias]
@@ -240,13 +239,8 @@ def mass_matrix(model, q, inertias=None):
 def aba(model, q, qd, tau, gravity=None, inertias=None):
     """Forward dynamics via the articulated-body recursion (three sweeps)."""
     n = model.n
-    _check_len("q", q, n)
-    _check_len("qd", qd, n)
-    _check_len("tau", tau, n)
+    inertias = _inertias(model, inertias, q=q, qd=qd, tau=tau)
     g = _as_gravity(gravity)
-    if inertias is None:
-        inertias = model.inertias()
-    _require_dynamics(model, inertias)
 
     xs = local_transforms(model, q)
     v = [None] * n
@@ -340,10 +334,8 @@ def potential_energy(model, q, gravity=None, inertias=None):
     """-sum_i m_i g . com_world_i over the moving bodies (zero reference at
     the base origin; mass fixed to the base is a constant and left out)."""
     from .kinematics import world_transforms
-    _check_len("q", q, model.n)
+    inertias = _inertias(model, inertias, q=q)
     g = _as_gravity(gravity)
-    if inertias is None:
-        inertias = model.inertias()
     world = world_transforms(model, q)
     U = 0.0
     for X, I in zip(world, inertias):

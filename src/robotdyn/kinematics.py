@@ -120,21 +120,18 @@ _COS_MAX = 1.0 - 1e-12
 
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
-    """Loss pieces for IK, and the body world poses they come from; generic
-    over the scalar type of qs."""
+    """IK loss of ``qs`` as ``(loss, position error, orientation error, body
+    world poses)``, generic over the scalar type of ``qs``.  The orientation
+    error is the angle of ``RᵀR*`` (0 for a position-only target)."""
     world = world_transforms(model, qs)
     X = link_transform(world, frame)
     d = X.trans - target_pos
     pos_sq = d.dot(d)
-    loss = pos_sq
-    cos_theta = None
-    if target_rot is not None:
-        rel = X.rot.T().matmat(target_rot)
-        c = (rel.trace() - 1.0) * 0.5
-        cos_theta = ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX)
-        theta = ad.acos(cos_theta)
-        loss = loss + theta * theta
-    return loss, pos_sq, cos_theta, world
+    if target_rot is None:
+        return pos_sq, ad.sqrt(pos_sq), 0.0, world
+    c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
+    theta = ad.acos(ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX))
+    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world
 
 
 def _pose_gradient(X, J, target_pos, target_rot):
@@ -163,9 +160,12 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     """IK by damped Gauss-Newton steps, with gradient descent as the fallback,
     backtracking line searches and limit clamping.
 
-    The gradient of the pose loss is analytic, from the geometric Jacobian of
-    the link (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
-    only as its test oracle.
+    One ``search`` halves the step until the loss drops: from 1 along the
+    Gauss-Newton direction, else along the gradient from a persistent step
+    that grows ×1.5 after each accepted gradient step.  The gradient is
+    analytic (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
+    only as its test oracle.  A stall restarts from the best of five random
+    in-limit configurations, and the best iterate is returned.
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  Joint
     limits are enforced by projection after every step.  Non-convergence is
@@ -173,14 +173,10 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     """
     frame = model.link(link)
     _check_q(model, q0)
-    if isinstance(target, Pose):
-        target_pos, target_rot = target.position, target.rotation
-        if position_only:
-            target_rot = None
-    elif isinstance(target, Vec3):
-        target_pos, target_rot = target, None
-    else:
-        target_pos, target_rot = Vec3.fromlist(list(target)), None
+    target_rot = target.rotation if isinstance(target, Pose) and not position_only else None
+    target_pos = target.position if isinstance(target, Pose) else target
+    if not isinstance(target_pos, Vec3):
+        target_pos = Vec3.fromlist(list(target_pos))
 
     lo, hi = model.joint_limits()
     lo_s = np.maximum(lo, -2.0 * np.pi)
@@ -189,13 +185,13 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     rng = random.Random(seed)
     perturbed = False
     step = step_size
+    restarts = backtracks = stagnant = 0
 
-    def eval_float(qv):
-        # the world poses come along, so that an accepted iterate reuses them
-        loss, pos_sq, cos_t, world = _pose_loss(model, frame, list(qv), target_pos,
-                                                target_rot)
-        ang = math.acos(cos_t) if cos_t is not None else 0.0
-        return float(loss), float(np.sqrt(pos_sq)), float(ang), world
+    def evaluate(qv):
+        return _pose_loss(model, frame, list(qv), target_pos, target_rot)
+
+    def converged(ev):
+        return ev[1] < pos_tolerance and (target_rot is None or ev[2] < rot_tolerance)
 
     def newton_direction(J, grad):
         # Gauss-Newton curvature of the squared-error loss from the geometric
@@ -205,85 +201,60 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             H += 2.0 * (J[0:3].T @ J[0:3])
         return np.linalg.solve(H + 1e-6 * np.eye(model.n), grad)
 
-    loss, pos_err, ang_err, world = eval_float(q)
-    best_q, best = q.copy(), (loss, pos_err, ang_err)
-    stagnant = 0
-    restarts = backtracks = 0
+    def search(q, ev, direction, s):
+        # the first of q - s·direction, q - s/2·direction, ... (20 tries) that
+        # lowers the loss, as (q, evaluation, s); None if none does
+        nonlocal backtracks
+        for _ in range(20):
+            q_trial = np.clip(q - s * direction, lo, hi)
+            trial = evaluate(q_trial)
+            if trial[0] < ev[0]:
+                return q_trial, trial, s
+            s *= 0.5
+            backtracks += 1
+        return None
+
+    ev = evaluate(q)
+    best = (q, ev)
     it = 0
     for it in range(max_iters):
-        done_pos = pos_err < pos_tolerance
-        done_rot = target_rot is None or ang_err < rot_tolerance
-        if done_pos and done_rot:
+        if converged(ev):
             break
-        if target_rot is not None and ang_err > np.pi - 1e-3 and not perturbed:
+        if target_rot is not None and ev[2] > np.pi - 1e-3 and not perturbed:
             # orientation error at the antipode: nudge once to leave the stall
             q = np.clip(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
                                       for _ in range(model.n)]), lo, hi)
-            loss, pos_err, ang_err, world = eval_float(q)
+            ev = evaluate(q)
             perturbed = True
             continue
         # the forward kinematics of the iterate's loss feed its Jacobian and gradient
-        J = _jacobian(model, world, frame)
-        grad = _pose_gradient(link_transform(world, frame), J, target_pos, target_rot)
-        accepted = False
-        loss_before = loss
-        # Preferred direction: damped Gauss-Newton.  Fallback: raw gradient.
-        # Both use the same backtracking rule (halve until the loss decreases).
-        s = 1.0
-        direction = newton_direction(J, grad)
-        for _ in range(20):
-            q_trial = np.clip(q - s * direction, lo, hi)
-            trial = eval_float(q_trial)
-            if trial[0] < loss:
-                q = q_trial
-                loss, pos_err, ang_err, world = trial
-                accepted = True
-                break
-            s *= 0.5
-            backtracks += 1
-        if not accepted:
-            for _ in range(20):
-                q_trial = np.clip(q - step * grad, lo, hi)
-                trial = eval_float(q_trial)
-                if trial[0] < loss:
-                    q = q_trial
-                    loss, pos_err, ang_err, world = trial
-                    step = min(step * 1.5, 1e3 * step_size)
-                    accepted = True
-                    break
-                step *= 0.5
-                backtracks += 1
-        if accepted:
-            if loss < best[0]:
-                best_q, best = q.copy(), (loss, pos_err, ang_err)
-            if loss_before - loss < 1e-3 * (loss + 1e-30):
-                stagnant += 1
-            else:
-                stagnant = 0
-        if not accepted or stagnant >= 5:
+        J = _jacobian(model, ev[3], frame)
+        grad = _pose_gradient(link_transform(ev[3], frame), J, target_pos, target_rot)
+        found = search(q, ev, newton_direction(J, grad), 1.0)
+        if found is None:
+            found = search(q, ev, grad, step)
+            if found is not None:
+                step = min(found[2] * 1.5, 1e3 * step_size)
+        if found is not None:
+            loss_before = ev[0]
+            q, ev, _ = found
+            if ev[0] < best[1][0]:
+                best = (q, ev)
+            stagnant = stagnant + 1 if loss_before - ev[0] < 1e-3 * (ev[0] + 1e-30) else 0
+        if found is None or stagnant >= 5:
             # Stalled or grinding at a limit-constrained local minimum:
             # restart from the best of a few random in-limit configurations,
             # keeping the best iterate found so far.
             restarts += 1
-            best_cand = None
-            for _ in range(5):
-                cand = np.array([rng.uniform(lo_s[j], hi_s[j])
-                                 for j in range(model.n)])
-                trial = eval_float(cand)
-                if best_cand is None or trial[0] < best_cand[1][0]:
-                    best_cand = (cand, trial)
-            q = best_cand[0]
-            loss, pos_err, ang_err, world = best_cand[1]
+            cands = [np.array([rng.uniform(a, b) for a, b in zip(lo_s, hi_s)])
+                     for _ in range(5)]
+            q, ev = min(((c, evaluate(c)) for c in cands), key=lambda c: c[1][0])
             step = step_size
             stagnant = 0
             perturbed = False
 
-    if loss < best[0]:
-        best_q, best = q.copy(), (loss, pos_err, ang_err)
-    loss, pos_err, ang_err = best
-    done_pos = pos_err < pos_tolerance
-    done_rot = target_rot is None or ang_err < rot_tolerance
-    residual = pos_err if target_rot is None else max(pos_err, ang_err)
-    return IKResult(q=best_q, converged=bool(done_pos and done_rot),
-                    residual=residual, iterations=it, restarts=restarts,
-                    backtracks=backtracks)
+    if ev[0] < best[1][0]:
+        best = (q, ev)
+    q, ev = best
+    return IKResult(q=q, converged=bool(converged(ev)), residual=max(ev[1], ev[2]),
+                    iterations=it, restarts=restarts, backtracks=backtracks)

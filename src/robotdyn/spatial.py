@@ -213,8 +213,8 @@ def rot_axis_angle(axis, t):
                  1.0 + i * s + (g * c + h * f + i * i) * c1)
 
 
-class MotionVector:
-    """Spatial velocity/acceleration: (angular, linear)."""
+class _SpatialVector:
+    """(angular, linear) pair of Vec3; the operations keep the subclass."""
 
     __slots__ = ("ang", "lin")
 
@@ -222,63 +222,43 @@ class MotionVector:
         self.ang = ang
         self.lin = lin
 
-    @staticmethod
-    def zero():
-        return MotionVector(Vec3.zero(), Vec3.zero())
+    @classmethod
+    def zero(cls):
+        return cls(Vec3.zero(), Vec3.zero())
 
     def __add__(self, o):
-        return MotionVector(self.ang + o.ang, self.lin + o.lin)
+        return type(self)(self.ang + o.ang, self.lin + o.lin)
 
     def __sub__(self, o):
-        return MotionVector(self.ang - o.ang, self.lin - o.lin)
+        return type(self)(self.ang - o.ang, self.lin - o.lin)
 
     def __neg__(self):
-        return MotionVector(-self.ang, -self.lin)
+        return type(self)(-self.ang, -self.lin)
 
     def scale(self, s):
-        return MotionVector(self.ang.scale(s), self.lin.scale(s))
+        return type(self)(self.ang.scale(s), self.lin.scale(s))
+
+    def tolist(self):
+        return self.ang.tolist() + self.lin.tolist()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ang}, {self.lin})"
+
+
+class MotionVector(_SpatialVector):
+    """Spatial velocity/acceleration: (angular, linear)."""
+
+    __slots__ = ()
 
     def dot(self, f):
         """Power pairing with a force vector: w . tau + v . F."""
         return self.ang.dot(f.ang) + self.lin.dot(f.lin)
 
-    def tolist(self):
-        return self.ang.tolist() + self.lin.tolist()
 
-    def __repr__(self):
-        return f"MotionVector({self.ang}, {self.lin})"
-
-
-class ForceVector:
+class ForceVector(_SpatialVector):
     """Spatial force: (torque, force)."""
 
-    __slots__ = ("ang", "lin")
-
-    def __init__(self, ang, lin):
-        self.ang = ang
-        self.lin = lin
-
-    @staticmethod
-    def zero():
-        return ForceVector(Vec3.zero(), Vec3.zero())
-
-    def __add__(self, o):
-        return ForceVector(self.ang + o.ang, self.lin + o.lin)
-
-    def __sub__(self, o):
-        return ForceVector(self.ang - o.ang, self.lin - o.lin)
-
-    def __neg__(self):
-        return ForceVector(-self.ang, -self.lin)
-
-    def scale(self, s):
-        return ForceVector(self.ang.scale(s), self.lin.scale(s))
-
-    def tolist(self):
-        return self.ang.tolist() + self.lin.tolist()
-
-    def __repr__(self):
-        return f"ForceVector({self.ang}, {self.lin})"
+    __slots__ = ()
 
 
 class SpatialTransform:

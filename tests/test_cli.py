@@ -341,6 +341,15 @@ def test_sysid_mixed_vector_lengths_exit_2(capsys, tmp_path):
     assert err == f"error: {data}:2: 'q' has length 2, expected 1\n"
 
 
+def test_sysid_dataset_dof_mismatch_exits_2(capsys, tmp_path):
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out", str(data))
+    code, out, err = run_cli(capsys, "sysid", fx("six_dof_arm"), "--data", str(data),
+                             "--learn", "link2:mass")
+    assert (code, out) == (2, "")
+    assert err == "error: dataset has 1 DoF, model has 6\n"
+
+
 def test_sysid_missing_link_exits_2(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out",

@@ -389,6 +389,19 @@ def test_inertias_argument_must_have_one_entry_per_body(two_link):
         rnea(two_link, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], inertias=per_link)
 
 
+def test_potential_energy_rejects_short_inertias(six_dof):
+    q = [0.1] * 6
+    np.testing.assert_allclose(potential_energy(six_dof, q), 22.686, atol=1e-3)
+    with pytest.raises(ValueError, match="inertias must have length 6, got 1"):
+        potential_energy(six_dof, q, inertias=six_dof.inertias()[:1])
+
+
+def test_potential_energy_rejects_kinematics_only_model():
+    model = rd.load_model(rd.fixture_path("pendulum"), kinematics_only=True)
+    with pytest.raises(DynamicsError, match="kinematics_only"):
+        potential_energy(model, [0.0])
+
+
 def test_mass_fixed_to_the_base_changes_no_dynamics():
     links, joints = MERGE_CASES["pedestal"]
     bare = [(name, None if name == "pedestal" else inertial) for name, inertial in links]

@@ -206,6 +206,22 @@ def test_ik_fixed_point_returns_immediately(two_link):
     assert res.residual < 1e-5
 
 
+def test_ik_nudges_once_off_an_orientation_antipode(six_dof):
+    # the target is the start turned by pi about the last joint: the
+    # orientation error starts at the antipode, where the solver nudges q
+    q0 = [-1.0] * 6
+    q_target = q0[:5] + [q0[5] + np.pi]
+    target = forward_kinematics(six_dof, q_target)["tool"]
+    start = _pose_loss(six_dof, six_dof.link("tool"), q0, target.position, target.rotation)
+    assert start[2] > np.pi - 1e-3
+    res = inverse_kinematics(six_dof, target, "tool", q0=q0)
+    assert res.converged and res.restarts == 0
+    # the orientation-error acos clamp leaves a ~1e-6 residual floor
+    assert res.residual < 1e-5
+    got = forward_kinematics(six_dof, list(res.q))["tool"]
+    np.testing.assert_allclose(got.position.values(), target.position.values(), atol=1e-5)
+
+
 def test_ik_two_link_position_target(two_link):
     res = inverse_kinematics(two_link, Vec3(1.0, 1.0, 0.0), "tool",
                              q0=[0.1, 0.1])
