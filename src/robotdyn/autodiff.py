@@ -300,6 +300,23 @@ def jacobian_rev(f, x):
 # forward mode
 # ---------------------------------------------------------------------------
 
+def _chain_rule(val, parents):
+    """Partials of a ``Dual`` result ``val``: the sum over (operand, local
+    partial) pairs of local partial * operand partials, floats or arrays."""
+    (x, dx), *rest = parents
+    with np.errstate(invalid="ignore"):
+        if rest:
+            (y, dy), = rest
+            partials = [_selected(dx, a, dx * a) + _selected(dy, b, dy * b)
+                        for a, b in zip(x.partials, y.partials)]
+        else:
+            partials = [_selected(dx, a, dx * a) for a in x.partials]
+    if not isinstance(val, np.ndarray):
+        # un-broadcast onto a scalar result, as the backward sweep does
+        partials = [float(s.sum()) if isinstance(s, np.ndarray) else s for s in partials]
+    return tuple(partials)
+
+
 class Dual(_Scalar):
     """Forward-mode scalar with a fixed-width tuple of partial derivatives."""
 
@@ -317,19 +334,16 @@ class Dual(_Scalar):
                 for i, v in enumerate(values)]
 
     def _new(self, val, op, parents):
-        # chain rule: d result = sum over operands of local partial * d operand
         (x, dx), *rest = parents
-        with np.errstate(invalid="ignore"):
-            if rest:
-                (y, dy), = rest
-                partials = [_selected(dx, a, dx * a) + _selected(dy, b, dy * b)
-                            for a, b in zip(x.partials, y.partials)]
-            else:
-                partials = [_selected(dx, a, dx * a) for a in x.partials]
-        if not isinstance(val, np.ndarray):
-            # un-broadcast onto a scalar result, as the backward sweep does
-            partials = [float(s.sum()) if isinstance(s, np.ndarray) else s for s in partials]
-        return Dual(val, tuple(partials))
+        if type(val) is float and type(dx) is float:
+            # all partials are floats: _chain_rule's products and sums alone
+            if not rest:
+                return Dual(val, tuple([dx * a for a in x.partials]))
+            (y, dy), = rest
+            if type(dy) is float:
+                return Dual(val, tuple([dx * a + dy * b
+                                        for a, b in zip(x.partials, y.partials)]))
+        return Dual(val, _chain_rule(val, parents))
 
     def __repr__(self):
         return f"Dual({self.value!r}, {self.partials!r})"

@@ -378,8 +378,8 @@ def build_parser():
                             "(softplus), com (free) or rot_inertia (Cholesky SPD), "
                             "e.g. link1:mass,link1:com")
     sysid.add_argument("--epochs", type=int, default=1000)
-    sysid.add_argument("--lr", type=float, default=0.01)
-    sysid.add_argument("--optimizer", choices=("gd", "adam"), default="adam")
+    sysid.add_argument("--lr", type=float, default=0.01, help="gd and adam only")
+    sysid.add_argument("--optimizer", choices=("lm", "gd", "adam"), default="lm")
 
     common(sub.add_parser("check", help="run the cross-algorithm oracle suite"))
     return p

@@ -7,7 +7,7 @@ origin stays symmetric positive definite (Cholesky factor with softplus
 diagonal plus a small diagonal floor).  That is all the maps guarantee: an
 SPD inertia about the link origin can still leave the inertia about the CoM
 indefinite or violating the triangle inequality, so an optimizer step can
-reach physically inconsistent parameters (ROADMAP item 3 plans a map that
+reach physically inconsistent parameters (ROADMAP item 4 plans a map that
 rules this out).
 
 Identification minimizes a torque-regression loss: mean squared difference
@@ -19,10 +19,10 @@ reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.
 parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``, which carries
 each joint's axis down to every body it moves and takes each block of Y as
 the 10 coefficients of ``spatial.inertia_bilinear``): it builds Y once per
-call, and each step evaluates the residual Y pi(raw) - tau in floats and
-pulls its gradient (2/N) Y^T r back through the map pi(raw) with one reverse
-sweep over a tape of the map alone, whose length is independent of the
-sample count.
+call and evaluates the residual r = Y pi(raw) - tau in floats.  "gd" and
+"adam" pull (2/N) Y^T r back through pi(raw) by one reverse sweep over a tape
+of the map alone, independent of the sample count; "lm" solves a damped
+Gauss-Newton system from G = Y^T Y, formed once, and dpi/draw by forward mode.
 """
 
 from __future__ import annotations
@@ -371,6 +371,28 @@ def _raw_gradient(store, Y, r, raw):
     return ad.gradient(pairing, raw)
 
 
+def _lm_step(store, Y2, G, tau, raw, r, loss, lam):
+    """One Levenberg-Marquardt iteration from ``raw``, whose residual is ``r``:
+    solves (H + lam D) delta = g, with H = J^T G J (J = dpi/draw, G = Y^T Y),
+    g = J^T Y^T r and Marquardt's D = diag(H), floored so that a parameter the
+    torque never feels (a zero column of H) is damped too; lam is multiplied
+    by 4 until raw - delta lowers the loss, then divided by 3.  Returns the new
+    (raw, r, loss, lam), or the old raw, r and loss if no lam up to 1e16 does.
+    """
+    J = ad.jacobian_fwd(lambda rs: _params(store, rs), list(raw))
+    H = J.T @ G @ J
+    g = J.T @ (Y2.T @ r.ravel())
+    d = np.diag(H)
+    D = np.diag(np.maximum(d, np.finfo(float).eps * d.max() or 1.0))  # H = 0 has g = 0
+    while lam <= 1e16:
+        trial = raw - np.linalg.solve(H + lam * D, g)
+        r_trial, loss_trial = _residual(Y2, tau, _params(store, list(trial)))
+        if loss_trial < loss:
+            return trial, r_trial, loss_trial, lam / 3.0
+        lam *= 4.0
+    return raw, r, loss, lam
+
+
 def identifiability(store, Y, raw):
     """Rank and condition of the raw parameters' torque map, Y dpi/draw at ``raw``.
 
@@ -401,29 +423,35 @@ class TrainReport:
 def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
         batch_size=None, tol=1e-10, rel_tol=1e-12, patience=10, gravity=None,
         seed=0):
-    """Gradient-descent identification loop over the store's raw vector.
+    """Identification loop over the store's raw vector.
 
-    ``optimizer`` is "gd" (plain descent) or "adam" (per-coordinate adaptive
-    with momentum).  Stops when the loss drops below ``tol`` (stop reason
-    "tol", the only one reported as converged), when halving the learning
-    rate after every ``patience`` epochs without a relative improvement of
-    ``rel_tol`` has shrunk it ~1e-9x ("plateau"), or after ``epochs``
-    ("max_epochs").  Divergence (loss above 1e12) raises ``RuntimeError``
-    with the epoch index, a non-finite loss ``NonFiniteError``; a
-    ``learning_rate`` that is not positive and finite, or an ``epochs`` or
-    ``batch_size`` below 1, raises ``ValueError`` before any work.
+    ``optimizer`` is "gd" (plain descent), "adam" (per-coordinate adaptive
+    with momentum) or "lm" (Levenberg-Marquardt, ``_lm_step``: full batch;
+    ``learning_rate``, ``seed`` and ``patience`` unused).  Each epoch, or "lm"
+    iteration, adds one loss to the curve.  Stops when the loss drops below
+    ``tol`` (stop reason "tol", the only one reported as converged), on a
+    plateau ("plateau"), or after ``epochs`` ("max_epochs").  "gd" and "adam"
+    restart from the best point with a halved learning rate after every
+    ``patience`` epochs without a relative improvement of ``rel_tol``, and
+    plateau once it has shrunk ~1e-9x; "lm" plateaus on the first step that
+    gains less than ``rel_tol`` (on noisy torques, the least-squares floor).
+    Divergence (loss above 1e12) raises ``RuntimeError`` with the epoch index,
+    a non-finite loss ``NonFiniteError``.  ``ValueError``, before any work:
+    a ``learning_rate`` that is not positive and finite, an ``epochs`` or
+    ``batch_size`` below 1, a ``batch_size`` with "lm", a ``patience`` that
+    is not an integer >= 1, or a negative or NaN ``tol`` or ``rel_tol``.
 
     The loss is ``inverse_dynamics_loss``, evaluated through the inertial
     regressor: Y is built once per call, each step (each minibatch, with
     ``batch_size``) takes the residual r = Y pi(raw) - tau on its rows in
-    floats and its gradient from (2/N) Y^T r and a tape of pi(raw) alone, and
-    each epoch's loss is sum(r^2)/N over the whole dataset, whose residual
-    also serves the next full-batch step.  No step runs ``rnea``.  The report
-    carries ``identifiability`` at the final raw vector.
+    floats (see the module docstring), and each epoch's loss is sum(r^2)/N
+    over the whole dataset, whose residual also serves the next full-batch
+    step.  No step runs ``rnea``.  The report carries ``identifiability`` at
+    the final raw vector.
     """
     if store.size == 0:
         raise ValueError("no learnable parameters registered")
-    if optimizer not in ("gd", "adam"):
+    if optimizer not in ("gd", "adam", "lm"):
         raise ValueError(f"unknown optimizer '{optimizer}'")
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
@@ -431,6 +459,13 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
         raise ValueError(f"epochs must be >= 1, got {epochs!r}")
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    if batch_size is not None and optimizer == "lm":
+        raise ValueError("batch_size is not supported by optimizer 'lm' (full batch only)")
+    if not (isinstance(patience, (int, np.integer)) and patience >= 1):
+        raise ValueError(f"patience must be an integer >= 1, got {patience!r}")
+    for name, value in (("tol", tol), ("rel_tol", rel_tol)):
+        if not value >= 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value!r}")
     _check_dataset(store.model, dataset)
     Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                   gravity=gravity)
@@ -449,32 +484,41 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
     since_best = 0
     cur_lr = learning_rate
     adam_t = 0
+    lam = 1e-3  # Levenberg-Marquardt's damping
     r = None  # residual of every sample at the current raw, when known
+    if optimizer == "lm":
+        Y2 = Y.reshape(-1, Y.shape[-1])
+        G = Y2.T @ Y2
+        r, loss = _residual(Y2, tau, _params(store, list(raw)))
+        best_loss = loss  # so that a first step that cannot help is a plateau
     for epoch in range(1, epochs + 1):
-        if batch_size is None or batch_size >= len(dataset):
-            batches = [None]
+        if optimizer == "lm":
+            raw, r, loss, lam = _lm_step(store, Y2, G, tau, raw, r, loss, lam)
         else:
-            order = rng.permutation(len(dataset))
-            batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-        for rows in batches:
-            if rows is None:
-                if r is None:
-                    r, _ = _residual(Y, tau, _params(store, list(raw)))
-                Yb, rb = Y, r
+            if batch_size is None or batch_size >= len(dataset):
+                batches = [None]
             else:
-                Yb = Y[rows]
-                rb, _ = _residual(Yb, tau[rows], _params(store, list(raw)))
-            g = _raw_gradient(store, Yb, rb, list(raw))
-            if optimizer == "gd":
-                raw -= cur_lr * g
-            else:
-                adam_t += 1
-                m = beta1 * m + (1.0 - beta1) * g
-                v = beta2 * v + (1.0 - beta2) * g * g
-                mhat = m / (1.0 - beta1 ** adam_t)
-                vhat = v / (1.0 - beta2 ** adam_t)
-                raw -= cur_lr * mhat / (np.sqrt(vhat) + eps)
-        r, loss = _residual(Y, tau, _params(store, list(raw)))
+                order = rng.permutation(len(dataset))
+                batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+            for rows in batches:
+                if rows is None:
+                    if r is None:
+                        r, _ = _residual(Y, tau, _params(store, list(raw)))
+                    Yb, rb = Y, r
+                else:
+                    Yb = Y[rows]
+                    rb, _ = _residual(Yb, tau[rows], _params(store, list(raw)))
+                g = _raw_gradient(store, Yb, rb, list(raw))
+                if optimizer == "gd":
+                    raw -= cur_lr * g
+                else:
+                    adam_t += 1
+                    m = beta1 * m + (1.0 - beta1) * g
+                    v = beta2 * v + (1.0 - beta2) * g * g
+                    mhat = m / (1.0 - beta1 ** adam_t)
+                    vhat = v / (1.0 - beta2 ** adam_t)
+                    raw -= cur_lr * mhat / (np.sqrt(vhat) + eps)
+            r, loss = _residual(Y, tau, _params(store, list(raw)))
         if loss > 1e12:
             raise RuntimeError(f"training diverged at epoch {epoch} (loss {loss:g})")
         losses.append(loss)
@@ -486,6 +530,9 @@ def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
             since_best += 1
         if loss < tol:
             stop_reason = "tol"
+            break
+        if optimizer == "lm" and since_best:  # the step gained less than rel_tol
+            stop_reason = "plateau"
             break
         if since_best >= patience:
             # plateau: restart from the best point with a halved step; give up

@@ -233,6 +233,45 @@ def test_forward_reverse_agreement_random():
             assert ad.check_gradient(f, x0) < 1e-6, name
 
 
+def _assert_float_path_is_chain_rule(monkeypatch, f, x):
+    """``jacobian_fwd`` of ``f`` at ``x`` is the same, bit for bit, with
+    ``Dual``'s float path and with every partial from ``_chain_rule``."""
+    want = ad.jacobian_fwd(f, x)
+    with monkeypatch.context() as m:
+        m.setattr(ad.Dual, "_new",
+                  lambda self, val, op, parents: ad.Dual(val, ad._chain_rule(val, parents)))
+        got = ad.jacobian_fwd(f, x)
+    assert want.tobytes() == got.tobytes()
+
+
+def test_dual_float_path_equals_chain_rule_bit_for_bit(monkeypatch):
+    # every scalar operator and elementary function, in the points of the
+    # agreement test and where a partial is infinite (sqrt and log at 0)
+    rng = np.random.default_rng(4)
+    for name, op in AGREEMENT_CASES.items():
+        if "batch" not in name and name != "where_array":
+            for _ in range(10):
+                _assert_float_path_is_chain_rule(monkeypatch, lambda xs: [op(*xs)],
+                                                 list(rng.uniform(-1, 1, 3)))
+    for fn in (ad.sqrt, ad.log):
+        _assert_float_path_is_chain_rule(monkeypatch, lambda xs: [fn(xs[0] * xs[1])],
+                                         [0.0, 2.0])
+
+
+def test_dual_float_path_equals_chain_rule_on_inertial_params(monkeypatch, six_dof):
+    # pi(raw) of the benchmark's identification spec: softplus masses, a free
+    # CoM and a Cholesky-mapped rotational inertia
+    from robotdyn import learn
+    store = learn.ParamStore(six_dof)
+    for link in ("link2", "link3", "link4", "link5", "link6"):
+        store.make_learnable(link, "mass")
+    store.make_learnable("link3", "com").make_learnable("link4", "rot_inertia")
+    rng = np.random.default_rng(5)
+    for raw in [store.raw] + [store.raw + rng.normal(0.0, 1.0, store.size) for _ in range(5)]:
+        _assert_float_path_is_chain_rule(monkeypatch, lambda rs: learn._params(store, rs),
+                                         list(raw))
+
+
 def test_where_at_sqrt_zero_differentiates_taken_branch_in_both_modes():
     # the untaken sqrt branch has an infinite partial at 0; it must not leak
     f = lambda xs: ad.where(xs[0] > 0.0, ad.sqrt(xs[0]), 0.0 * xs[0])

@@ -279,6 +279,21 @@ def test_sysid_recovers_mass(capsys, tmp_path):
     assert doc["final_loss"] < 1e-8
 
 
+def test_sysid_defaults_to_levenberg_marquardt(capsys, tmp_path):
+    # the data of test_sysid_recovers_mass, with no optimizer, rate or cap given
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("pendulum"), "--n", "200", "--seed", "3",
+            "--out", str(data))
+    argv = ("sysid", fx("pendulum_mass2"), "--data", str(data), "--learn", "bob:mass")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["stop_reason"] == "tol" and doc["converged"] is True
+    assert doc["iterations"] == len(doc["loss_curve"]) < 10
+    np.testing.assert_allclose(doc["final_params"]["bob.mass"], 1.0, rtol=1e-6)
+    assert run_json(capsys, *argv, "--optimizer", "lm")[1] == doc
+    assert run_json(capsys, *argv, "--optimizer", "adam")[1]["iterations"] > 10
+
+
 def test_sysid_reports_stop_reason(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "50", "--out", str(data))

@@ -406,11 +406,11 @@ def test_fit_records_only_scalar_tape_nodes_and_runs_no_rnea(six_dof, monkeypatc
 
     monkeypatch.setattr(ad.Tape, "var", var)
     monkeypatch.setattr(learn, "rnea", no_rnea)
-    for batch_size in (None, 64):
+    for kwargs in ({}, {"batch_size": 64}, {"optimizer": "lm"}):
         store = ParamStore(six_dof)
         for link, field in (("link2", "mass"), ("link3", "com"), ("link4", "rot_inertia")):
             store.make_learnable(link, field)
-        fit(store, ds, epochs=3, batch_size=batch_size)
+        fit(store, ds, epochs=3, **kwargs)
     assert values and not any(isinstance(v, np.ndarray) for v in values)
 
 
@@ -487,6 +487,11 @@ def test_fit_stop_reason_tells_converged_from_gave_up(pendulum, pendulum_mass2):
     assert report.stop_reason == "plateau"
     assert report.converged is False
     assert report.final_loss > 0.1
+    # lm reaches the least-squares floor in a few steps and stops there
+    store = make_learnable(pendulum_mass2, "bob", "mass")
+    report = fit(store, noisy, optimizer="lm", tol=1e-10)
+    assert report.stop_reason == "plateau" and report.converged is False
+    assert report.final_loss > 0.1 and report.iterations < 10
 
     clean = generate_dataset(pendulum, 200, seed=9)
     store = make_learnable(pendulum_mass2, "bob", "mass")
@@ -517,14 +522,73 @@ def test_fit_rejects_unknown_optimizer(pendulum, pendulum_mass2):
     ({"epochs": 0}, "epochs"), ({"learning_rate": math.nan}, "learning_rate"),
     ({"learning_rate": -0.01}, "learning_rate"), ({"learning_rate": 0.0}, "learning_rate"),
     ({"learning_rate": math.inf}, "learning_rate"), ({"batch_size": 0}, "batch_size"),
+    # patience 0 or -3 halved the rate and restarted every epoch, and a NaN
+    # rel_tol never recorded an improvement
+    ({"patience": 0}, "patience"), ({"patience": -3}, "patience"),
+    ({"patience": 2.5}, "patience"), ({"tol": -1e-10}, "tol"), ({"tol": math.nan}, "tol"),
+    ({"rel_tol": -1e-12}, "rel_tol"), ({"rel_tol": math.nan}, "rel_tol"),
+    ({"optimizer": "lm", "batch_size": 4}, "batch_size"),
 ])
-def test_fit_rejects_arguments_it_cannot_honour(pendulum, pendulum_mass2, kwargs, name):
+def test_fit_rejects_arguments_it_cannot_honour(pendulum, pendulum_mass2, monkeypatch,
+                                                kwargs, name):
     ds = generate_dataset(pendulum, 10, seed=17)
     store = make_learnable(pendulum_mass2, "bob", "mass")
     raw = store.raw.copy()
-    with pytest.raises(ValueError, match=name):
+    monkeypatch.setattr(learn, "regressor", None)   # any work would fail on it
+    with pytest.raises(ValueError, match=f"^{name} "):
         fit(store, ds, **kwargs)
     assert np.array_equal(store.raw, raw)
+
+
+# (model, field, raw offset, fit arguments), then the stop reason
+LM_CASES = {
+    # com_y never reaches the torque: rank 2 of 3
+    "rank_deficient": (("pendulum", "com", (0.1, 0.2, -0.15), {}), "tol"),
+    "mass": (("pendulum_mass2", "mass", (0.0,), {}), "tol"),
+    "at_optimum": (("pendulum", "com", (0.0, 0.0, 0.0), {}), "tol"),
+    # the residual is already exactly 0, so no step can lower the loss
+    "at_optimum_tol_0": (("pendulum", "com", (0.0, 0.0, 0.0), {"tol": 0.0}), "plateau"),
+    # a mass of 2 cannot fit a mass-1 pendulum by moving its CoM alone
+    "unreachable": (("pendulum_mass2", "com", (0.0, 0.0, 0.0), {}), "plateau"),
+    "unreachable_rel_tol_0": (("pendulum_mass2", "com", (0.0, 0.0, 0.0),
+                               {"rel_tol": 0.0}), "plateau"),
+    "one_epoch": (("pendulum_mass2", "com", (0.0, 0.0, 0.0), {"epochs": 1}), "max_epochs"),
+    # without gravity a CoM on the joint axis is a saddle: H = 0 and g = 0
+    "saddle": (("pendulum", "com", (-1.0, 0.0, 0.0), {"gravity": (0.0, 0.0, 0.0)}),
+               "plateau"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LM_CASES))
+def test_fit_lm_edge_cases_stay_finite(request, pendulum, case):
+    (model, field, offset, kwargs), want = LM_CASES[case]
+    ds = generate_dataset(pendulum, 100, seed=25)
+    store = make_learnable(request.getfixturevalue(model), "bob", field)
+    store.raw = store.raw + np.asarray(offset)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        report = fit(store, ds, optimizer="lm", **kwargs)
+    assert report.stop_reason == want and report.converged == (want == "tol")
+    losses = np.asarray(report.losses)
+    assert np.all(np.isfinite(losses)) and np.all(np.isfinite(store.raw))
+    assert np.all(np.diff(losses) <= 0.0) and report.final_loss == losses[-1]
+    assert len(losses) == report.iterations
+    ident = report.identifiability
+    assert math.isfinite(ident["condition"]) == (ident["rank"] > 0)
+    assert (ident["rank"] == 0) == (case == "saddle")
+    if want == "tol":
+        assert report.final_loss < 1e-10
+        # the pendulum's bob: mass 1 at (1, 0, 0); com_y stays where it started
+        want = 1.0 if field == "mass" else [1.0, offset[1], 0.0]
+        np.testing.assert_allclose(store.physical_values()[f"bob.{field}"], want,
+                                   rtol=1e-5, atol=1e-5)
+    if case in ("one_epoch", "saddle"):
+        assert report.iterations == 1
+    if case == "unreachable":
+        # the last step lowered the loss by less than rel_tol
+        assert report.final_loss > 0.1 and losses[-2] - losses[-1] < 1e-12 * losses[-2]
+    if case == "unreachable_rel_tol_0":
+        # the last iteration found no damped step that lowers the loss
+        assert report.final_loss > 0.1 and losses[-1] == losses[-2]
 
 
 def test_fit_divergence_raises_with_epoch(pendulum, pendulum_mass2):
