@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .spatial import Mat33, MotionVector, SpatialTransform, Vec3, rot_axis_angle
+from .spatial import Mat33, MotionVector, SpatialTransform, Vec3, rot_basis_angle
 
 
 class Pose:
@@ -39,7 +39,8 @@ def local_transforms(model, q):
     """Per-body pose of the body frame in its parent frame (origin then joint).
 
     A revolute or continuous joint only rotates, so its body frame keeps the
-    translation of the joint origin.
+    translation of the joint origin; its rotation is built from the body's
+    ``basis``, and an origin rotation of exactly E is skipped (no entry is -0.0).
     """
     xs = []
     for body, qj in zip(model.bodies, q):
@@ -47,7 +48,8 @@ def local_transforms(model, q):
         if body.joint_type == "prismatic":
             xs.append(origin.compose(SpatialTransform(Mat33.identity(), body.axis.scale(qj))))
         else:
-            xs.append(SpatialTransform(origin.rot.matmat(rot_axis_angle(body.axis, qj)),
+            R = rot_basis_angle(body.basis, qj)
+            xs.append(SpatialTransform(R if body.origin_is_identity else origin.rot.matmat(R),
                                        origin.trans))
     return xs
 
@@ -91,11 +93,12 @@ def link_jacobian(model, q, link):
     return _jacobian(model, world_transforms(model, q), frame, batch)
 
 
-def _jacobian(model, world, frame, batch=()):
+def _jacobian(model, world, frame, batch=None, X=None):
     """``link_jacobian`` of ``frame`` from the body world poses ``world`` of a
-    configuration, or of a batch of configurations of shape ``batch``."""
-    p_link = link_transform(world, frame).trans
-    J = np.zeros((6, model.n) + batch)
+    float configuration or, given the ``batch`` shape, of any scalar type by
+    value.  ``X`` is the frame's pose, if it is already known."""
+    p_link = (link_transform(world, frame) if X is None else X).trans
+    J = np.zeros((6, model.n) + (batch or ()))
     i = frame.body
     while i >= 0:
         body = model.bodies[i]
@@ -104,8 +107,11 @@ def _jacobian(model, world, frame, batch=()):
             col = MotionVector(Vec3.zero(), axis_w)
         else:
             col = MotionVector(axis_w, axis_w.cross(p_link - world[i].trans))
-        for row, x in enumerate(col.tolist()):
-            J[row, i] = ad.value(x)
+        if batch is None:
+            J[:, i] = col.tolist()
+        else:
+            for row, x in enumerate(col.tolist()):
+                J[row, i] = ad.value(x)
         i = body.parent
     return J
 
@@ -121,17 +127,17 @@ _COS_MAX = 1.0 - 1e-12
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
     """IK loss of ``qs`` as ``(loss, position error, orientation error, body
-    world poses)``, generic over the scalar type of ``qs``.  The orientation
-    error is the angle of ``RᵀR*`` (0 for a position-only target)."""
+    world poses, link pose)``, generic over the scalar type of ``qs``.  The
+    orientation error is the angle of ``RᵀR*`` (0 for a position-only target)."""
     world = world_transforms(model, qs)
     X = link_transform(world, frame)
     d = X.trans - target_pos
     pos_sq = d.dot(d)
     if target_rot is None:
-        return pos_sq, ad.sqrt(pos_sq), 0.0, world
+        return pos_sq, ad.sqrt(pos_sq), 0.0, world, X
     c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
     theta = ad.acos(ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX))
-    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world
+    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world, X
 
 
 def _pose_gradient(X, J, target_pos, target_rot):
@@ -169,7 +175,9 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  Joint
     limits are enforced by projection after every step.  Non-convergence is
-    reported through the returned flag, never as an exception.
+    reported through the returned flag, never as an exception.  ``ValueError``
+    names a non-finite entry of ``q0`` or of the target (its rotation if used),
+    ``max_iters < 0``, or a tolerance or ``step_size`` not positive and finite.
     """
     frame = model.link(link)
     _check_q(model, q0)
@@ -177,18 +185,31 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     target_pos = target.position if isinstance(target, Pose) else target
     if not isinstance(target_pos, Vec3):
         target_pos = Vec3.fromlist(list(target_pos))
+    q0 = np.asarray(q0, dtype=float)
+    for ok, message in (
+            (all(map(math.isfinite, target_pos.tolist())), "target position must be finite"),
+            (target_rot is None or all(map(math.isfinite, sum(target_rot.rows(), []))),
+             "target rotation must be finite"),
+            (np.isfinite(q0).all(), "q0 must be finite"),
+            (max_iters >= 0, "max_iters must be >= 0"),
+            (0.0 < step_size < math.inf, "step_size must be positive and finite"),
+            (0.0 < pos_tolerance < math.inf, "pos_tolerance must be positive and finite"),
+            (0.0 < rot_tolerance < math.inf, "rot_tolerance must be positive and finite")):
+        if not ok:
+            raise ValueError(message)
 
     lo, hi = model.joint_limits()
     lo_s = np.maximum(lo, -2.0 * np.pi)
     hi_s = np.minimum(hi, 2.0 * np.pi)
-    q = np.clip(np.asarray(q0, dtype=float), lo, hi)
+    q = np.minimum(np.maximum(q0, lo), hi)
+    damping = 1e-6 * np.eye(model.n)
     rng = random.Random(seed)
     perturbed = False
     step = step_size
     restarts = backtracks = stagnant = 0
 
     def evaluate(qv):
-        return _pose_loss(model, frame, list(qv), target_pos, target_rot)
+        return _pose_loss(model, frame, qv.tolist(), target_pos, target_rot)
 
     def converged(ev):
         return ev[1] < pos_tolerance and (target_rot is None or ev[2] < rot_tolerance)
@@ -199,14 +220,14 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
         H = 2.0 * (J[3:6].T @ J[3:6])
         if target_rot is not None:
             H += 2.0 * (J[0:3].T @ J[0:3])
-        return np.linalg.solve(H + 1e-6 * np.eye(model.n), grad)
+        return np.linalg.solve(H + damping, grad)
 
     def search(q, ev, direction, s):
         # the first of q - s·direction, q - s/2·direction, ... (20 tries) that
         # lowers the loss, as (q, evaluation, s); None if none does
         nonlocal backtracks
         for _ in range(20):
-            q_trial = np.clip(q - s * direction, lo, hi)
+            q_trial = np.minimum(np.maximum(q - s * direction, lo), hi)
             trial = evaluate(q_trial)
             if trial[0] < ev[0]:
                 return q_trial, trial, s
@@ -222,14 +243,14 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             break
         if target_rot is not None and ev[2] > np.pi - 1e-3 and not perturbed:
             # orientation error at the antipode: nudge once to leave the stall
-            q = np.clip(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
-                                      for _ in range(model.n)]), lo, hi)
+            q = np.minimum(np.maximum(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
+                                                    for _ in range(model.n)]), lo), hi)
             ev = evaluate(q)
             perturbed = True
             continue
-        # the forward kinematics of the iterate's loss feed its Jacobian and gradient
-        J = _jacobian(model, ev[3], frame)
-        grad = _pose_gradient(link_transform(ev[3], frame), J, target_pos, target_rot)
+        # the world and link poses of the iterate's loss feed its Jacobian and gradient
+        J = _jacobian(model, ev[3], frame, X=ev[4])
+        grad = _pose_gradient(ev[4], J, target_pos, target_rot)
         found = search(q, ev, newton_direction(J, grad), 1.0)
         if found is None:
             found = search(q, ev, grad, step)

@@ -195,22 +195,25 @@ def rot_z(t):
     return Mat33(c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
 
 
-def rot_axis_angle(axis, t):
-    """Rodrigues rotation about a unit axis by angle t: E + sin(t) K + (1 - cos(t)) K^2
-    with K = skew(axis); each entry is summed in that order, and K^2 as
-    ``Mat33.matmat`` sums it."""
-    a, b, c, d, e, f, g, h, i = 0.0, -axis.z, axis.y, axis.z, 0.0, -axis.x, -axis.y, \
-        axis.x, 0.0
+def axis_basis(axis):
+    """The entries of K = skew(axis), then of K^2 as ``Mat33.matmat`` sums it,
+    row-major: the angle-free parts of ``rot_axis_angle``."""
+    K = Mat33.skew(axis)
+    return tuple(getattr(M, x) for M in (K, K.matmat(K)) for x in Mat33.__slots__)
+
+
+def rot_basis_angle(basis, t):
+    """E + sin(t) K + (1 - cos(t)) K^2 of an ``axis_basis``, summed in that order."""
+    a, b, c, d, e, f, g, h, i, a2, b2, c2, d2, e2, f2, g2, h2, i2 = basis
     s, c1 = ad.sin(t), 1.0 - ad.cos(t)
-    return Mat33(1.0 + a * s + (a * a + b * d + c * g) * c1,
-                 0.0 + b * s + (a * b + b * e + c * h) * c1,
-                 0.0 + c * s + (a * c + b * f + c * i) * c1,
-                 0.0 + d * s + (d * a + e * d + f * g) * c1,
-                 1.0 + e * s + (d * b + e * e + f * h) * c1,
-                 0.0 + f * s + (d * c + e * f + f * i) * c1,
-                 0.0 + g * s + (g * a + h * d + i * g) * c1,
-                 0.0 + h * s + (g * b + h * e + i * h) * c1,
-                 1.0 + i * s + (g * c + h * f + i * i) * c1)
+    return Mat33(1.0 + a * s + a2 * c1, 0.0 + b * s + b2 * c1, 0.0 + c * s + c2 * c1,
+                 0.0 + d * s + d2 * c1, 1.0 + e * s + e2 * c1, 0.0 + f * s + f2 * c1,
+                 0.0 + g * s + g2 * c1, 0.0 + h * s + h2 * c1, 1.0 + i * s + i2 * c1)
+
+
+def rot_axis_angle(axis, t):
+    """Rodrigues rotation about a unit axis by angle t."""
+    return rot_basis_angle(axis_basis(axis), t)
 
 
 class _SpatialVector:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import Mat33, MotionVector, SpatialInertia, Vec3, parallel_axis_term, \
-    xform_from_rpy_xyz
+from .spatial import Mat33, MotionVector, SpatialInertia, Vec3, axis_basis, \
+    parallel_axis_term, xform_from_rpy_xyz
 
 
 class UrdfError(Exception):
@@ -290,10 +290,13 @@ def validate(desc):
 
 class Body:
     """One moving rigid body: the links behind one movable joint, up to the
-    next movable joints.  Body ``i`` carries joint coordinate ``i``."""
+    next movable joints.  Body ``i`` carries joint coordinate ``i``.  The joint
+    axis's ``basis`` (K and K²) and whether the origin rotation is exactly E
+    are fixed at build."""
 
-    __slots__ = ("name", "parent", "joint_name", "joint_type", "axis", "subspace",
-                 "origin", "inertia", "limit_lower", "limit_upper")
+    __slots__ = ("name", "parent", "joint_name", "joint_type", "axis", "basis",
+                 "subspace", "origin", "origin_is_identity", "inertia", "limit_lower",
+                 "limit_upper")
 
     def __init__(self, name, parent, joint, origin, inertia):
         self.name = name
@@ -301,12 +304,14 @@ class Body:
         self.joint_name = joint.name
         self.joint_type = joint.type
         self.axis = Vec3.fromlist(joint.axis)
+        self.basis = axis_basis(self.axis)
         # joint motion subspace in body coordinates
         if joint.type == "prismatic":
             self.subspace = MotionVector(Vec3.zero(), self.axis)
         else:
             self.subspace = MotionVector(self.axis, Vec3.zero())
         self.origin = origin
+        self.origin_is_identity = origin.rot.rows() == Mat33.identity().rows()
         self.inertia = inertia
         self.limit_lower = joint.limit_lower
         self.limit_upper = joint.limit_upper

@@ -456,6 +456,13 @@ ERROR_CASES = {
     "ik_unknown_link": (["ik", "two_link_planar", "--link", "ghost",
                          "--target", "0.1,0.1,0"], 2,
                         "error: unknown link 'ghost'"),
+    "ik_nan_target": (["ik", "six_dof_arm", "--link", "tool", "--target", "nan,0.1,0.4"],
+                      2, "error: target position must be finite"),
+    "ik_nan_q0": (["ik", "six_dof_arm", "--link", "tool", "--target", "0.3,0.1,0.4",
+                   "--q0", "nan,0,0,0,0,0"], 2, "error: q0 must be finite"),
+    "ik_negative_max_iters": (["ik", "six_dof_arm", "--link", "tool", "--target",
+                               "0.3,0.1,0.4", "--max-iters", "-3"], 2,
+                              "error: max_iters must be >= 0"),
     "gen_data_no_records": (["gen-data", "pendulum", "--n", "0", "--out", "{tmp}/x.jsonl"],
                             2, "error: n_samples must be >= 1"),
     "sysid_malformed_data": (["sysid", "pendulum", "--data", "{tmp}/bad.jsonl",

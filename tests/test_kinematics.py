@@ -1,10 +1,14 @@
 """Forward kinematics, geometric Jacobians, and gradient IK."""
 
+import math
+
 import numpy as np
 import pytest
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
+from robotdyn import kinematics
+from robotdyn.dynamics import aba
 from robotdyn.kinematics import (
     _COS_MAX,
     Pose,
@@ -15,9 +19,12 @@ from robotdyn.kinematics import (
     inverse_kinematics,
     link_jacobian,
     link_transform,
+    local_transforms,
     world_transforms,
 )
-from robotdyn.spatial import Vec3
+from robotdyn.spatial import Mat33, SpatialTransform, Vec3, rot_axis_angle
+from robotdyn.tracing import trace_kernel
+from conftest import random_state, urdf_text
 
 
 def two_link_fk_oracle(q1, q2):
@@ -281,3 +288,189 @@ def test_ik_loss_is_nonincreasing_across_iterations(two_link):
 def test_ik_wrong_q0_length(two_link):
     with pytest.raises(ValueError):
         inverse_kinematics(two_link, Vec3(1, 1, 0), "tool", q0=[0.0])
+
+
+# keyword arguments that replace a valid call's, and the ValueError they raise
+IK_BAD_INPUT = {
+    "nan_target_position": ({"target": Vec3(math.nan, 0.1, 0.4)},
+                            "target position must be finite"),
+    "inf_target_position": ({"target": Vec3(0.5, math.inf, 0.0)},
+                            "target position must be finite"),
+    "nan_target_rotation": ({"target": Pose(Mat33(1.0, 0.0, 0.0, 0.0, math.nan, 0.0,
+                                                  0.0, 0.0, 1.0), Vec3(1.0, 1.0, 0.0))},
+                            "target rotation must be finite"),
+    "nan_q0": ({"q0": [math.nan, 0.1]}, "q0 must be finite"),
+    "negative_max_iters": ({"max_iters": -3}, "max_iters must be >= 0"),
+    "zero_step_size": ({"step_size": 0.0}, "step_size must be positive and finite"),
+    "inf_step_size": ({"step_size": math.inf}, "step_size must be positive and finite"),
+    "negative_pos_tolerance": ({"pos_tolerance": -1e-5},
+                               "pos_tolerance must be positive and finite"),
+    "nan_rot_tolerance": ({"rot_tolerance": math.nan},
+                          "rot_tolerance must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IK_BAD_INPUT))
+def test_ik_rejects_input_it_cannot_honour_before_any_work(two_link, monkeypatch, case):
+    kwargs, message = IK_BAD_INPUT[case]
+
+    def no_work(*args):
+        raise AssertionError("the pose loss was evaluated")
+
+    monkeypatch.setattr(kinematics, "_pose_loss", no_work)
+    args = {"target": Vec3(1.0, 1.0, 0.0), "q0": [0.1, 0.1], **kwargs}
+    with pytest.raises(ValueError, match=message):
+        inverse_kinematics(two_link, args.pop("target"), "tool", **args)
+
+
+def test_ik_accepts_the_edges_of_its_input_domain(two_link):
+    # no iterations at all, and a rotation that position_only leaves unused
+    res = inverse_kinematics(two_link, Vec3(1.0, 1.0, 0.0), "tool", q0=[0.1, 0.1],
+                             max_iters=0)
+    assert (res.iterations, res.converged) == (0, False)
+    nan_rot = Pose(Mat33(*[math.nan] * 9), Vec3(1.0, 1.0, 0.0))
+    res = inverse_kinematics(two_link, nan_rot, "tool", q0=[0.1, 0.1], position_only=True)
+    assert res.converged
+
+
+def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
+        six_dof, monkeypatch):
+    calls = dict.fromkeys(("_pose_loss", "link_transform", "_jacobian"), 0)
+
+    def counted(name):
+        fn = getattr(kinematics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    target = forward_kinematics(six_dof, [0.4, -0.8, 1.1, 0.3, -0.6, 0.9])["tool"]
+    for name in calls:
+        monkeypatch.setattr(kinematics, name, counted(name))
+    res = inverse_kinematics(six_dof, target, "tool", q0=[0.0] * 6, seed=0)
+    assert res.converged and res.restarts == 0 and res.iterations >= 3
+    assert calls["_jacobian"] == res.iterations
+    assert calls["link_transform"] == calls["_pose_loss"] > res.iterations
+
+
+# ---------------------------------------------------------------------------
+# joint basis: local_transforms against the composition it replaced
+
+# axis-aligned axes, with signed zeros, then random unit axes
+BASIS_AXES = [(1.0, 0.0, 0.0), (-0.0, 1.0, -0.0), (0.0, -0.0, -1.0), (-1.0, -0.0, 0.0),
+              (0.0, -1.0, 0.0), (-0.0, -0.0, 1.0)] + [
+    tuple(v / np.linalg.norm(v)) for v in np.random.default_rng(11).normal(size=(3, 3))]
+BOX = (1.5, (0.1, -0.05, 0.2), (0.3, -0.2, 0.1), (0.02, 0.001, -0.002, 0.03, 0.0015, 0.025))
+
+
+def reference_local_transforms(model, q):
+    """Every origin rotation multiplied in, every rotation from its axis."""
+    xs = []
+    for body, qj in zip(model.bodies, q):
+        origin = body.origin
+        if body.joint_type == "prismatic":
+            xs.append(origin.compose(SpatialTransform(Mat33.identity(), body.axis.scale(qj))))
+        else:
+            xs.append(SpatialTransform(origin.rot.matmat(rot_axis_angle(body.axis, qj)),
+                                       origin.trans))
+    return xs
+
+
+def entries(X):
+    return sum(X.rot.rows(), []) + X.trans.tolist()
+
+
+def basis_chain():
+    """A chain of every joint type on every axis of ``BASIS_AXES``, each under
+    an identity, a nearly identity and a random rpy origin."""
+    rng = np.random.default_rng(12)
+    links, joints = [("base", None)], []
+    for axis in BASIS_AXES:
+        for rpy in ((0.0, 0.0, 0.0), (1e-9, -1e-9, 0.0), tuple(rng.uniform(-np.pi, np.pi, 3))):
+            for jtype in ("revolute", "continuous", "prismatic"):
+                k = len(joints) + 1
+                links.append((f"l{k}", BOX))
+                joints.append((f"j{k}", jtype, links[k - 1][0], f"l{k}",
+                               tuple(rng.uniform(-0.5, 0.5, 3)), rpy, axis))
+    return rd.build_model(rd.parse_urdf(urdf_text("basis_chain", links, joints)))
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return basis_chain()
+
+
+def test_basis_chain_covers_identity_and_rotated_origins(chain):
+    flags = [(b.joint_type, b.origin_is_identity) for b in chain.bodies]
+    for jtype in ("revolute", "continuous", "prismatic"):
+        assert (jtype, True) in flags and (jtype, False) in flags
+
+
+def test_local_transforms_on_floats_equal_the_reference_bit_for_bit(chain):
+    rng = np.random.default_rng(13)
+    for q in ([0.0] * chain.n, [-0.0] * chain.n, [math.pi] * chain.n,
+              *(rng.uniform(-7.0, 7.0, chain.n).tolist() for _ in range(20))):
+        for X, R in zip(local_transforms(chain, q), reference_local_transforms(chain, q)):
+            for a, b in zip(entries(X), entries(R)):
+                assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_local_transforms_on_a_batch_equal_the_reference_bytes(chain):
+    q = list(np.random.default_rng(14).uniform(-7.0, 7.0, (chain.n, 64)))
+    for X, R in zip(local_transforms(chain, q), reference_local_transforms(chain, q)):
+        for a, b in zip(entries(X), entries(R)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_local_transforms_on_vars_equal_the_reference_in_value_and_gradient(chain):
+    rng = np.random.default_rng(15)
+    q = rng.uniform(-7.0, 7.0, chain.n).tolist()
+    weights = rng.normal(size=12 * chain.n)
+    values = {}
+
+    def weighted_sum(fn):
+        # every entry gets its own weight, so each entry's gradient shows
+        def f(qs):
+            xs = [x for X in fn(chain, qs) for x in entries(X)]
+            values[fn] = [ad.value(x) for x in xs]
+            return sum(w * x for w, x in zip(weights, xs))
+        return f
+
+    got = ad.gradient(weighted_sum(local_transforms), q)
+    want = ad.gradient(weighted_sum(reference_local_transforms), q)
+    assert values[local_transforms] == values[reference_local_transforms]
+    assert list(got) == list(want)
+
+
+def test_traced_aba_on_a_tree_with_rotated_origins_equals_aba():
+    rng = np.random.default_rng(16)
+    links, joints = [("base", None)], []
+    for k in range(1, 7):
+        rpy = (0.0, 0.0, 0.0) if k % 2 else tuple(rng.uniform(-np.pi, np.pi, 3))
+        links.append((f"l{k}", BOX))
+        joints.append((f"j{k}", ("revolute", "continuous", "prismatic")[k % 3],
+                       links[rng.integers(0, k)][0], f"l{k}",
+                       tuple(rng.uniform(-0.5, 0.5, 3)), rpy, BASIS_AXES[(3 * k) % 9]))
+    model = rd.build_model(rd.parse_urdf(urdf_text("rotated_tree", links, joints)))
+    assert {b.origin_is_identity for b in model.bodies} == {True, False}
+    n = model.n
+    kernel = trace_kernel(lambda *state: aba(model, *state), n, n, n)
+    for _ in range(10):
+        state = [x.tolist() for x in random_state(model, rng, scale=3.0)]
+        got, want = kernel(*state), aba(model, *state)
+        assert got is not None
+        for a, b in zip(got, want):
+            assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("name", ["two_link_planar", "six_dof_arm"])
+def test_link_jacobian_of_var_and_dual_q_equals_its_float_result(name):
+    model = rd.load_model(rd.fixture_path(name))
+    q = np.random.default_rng(17).uniform(-np.pi, np.pi, model.n).tolist()
+    want = link_jacobian(model, q, "tool")
+    world = world_transforms(model, q)
+    assert _jacobian(model, world, model.link("tool")).tobytes() == want.tobytes()
+    tape = ad.Tape()
+    for qs in ([tape.var(x) for x in q], ad.Dual.seed(q)):
+        assert link_jacobian(model, qs, "tool").tobytes() == want.tobytes()
