@@ -284,9 +284,7 @@ def cmd_sysid(args):
             store.make_learnable(link, field)
         except (KeyError, ValueError) as e:
             raise CliError(f"--learn: {_message(e)}")
-    report = learn_mod.fit(store, ds, optimizer=args.optimizer,
-                           learning_rate=args.lr, epochs=args.epochs,
-                           gravity=_gravity(args), seed=args.seed)
+    report = learn_mod.fit(store, ds, epochs=args.epochs, gravity=_gravity(args))
     payload = {"loss_curve": report.losses, "final_loss": report.final_loss,
                "final_params": report.final_params, "iterations": report.iterations,
                "converged": report.converged, "stop_reason": report.stop_reason,
@@ -377,9 +375,8 @@ def build_parser():
                        help="comma-separated link:field pairs, field one of mass "
                             "(softplus), com (free) or rot_inertia (Cholesky SPD), "
                             "e.g. link1:mass,link1:com")
-    sysid.add_argument("--epochs", type=int, default=1000)
-    sysid.add_argument("--lr", type=float, default=0.01, help="gd and adam only")
-    sysid.add_argument("--optimizer", choices=("lm", "gd", "adam"), default="lm")
+    sysid.add_argument("--epochs", type=int, default=1000,
+                       help="cap on Levenberg-Marquardt iterations")
 
     common(sub.add_parser("check", help="run the cross-algorithm oracle suite"))
     return p

@@ -1,4 +1,4 @@
-"""Learnable rigid-body parameters and gradient-based identification.
+"""Learnable rigid-body parameters and their identification from torque data.
 
 Selected inertial fields (mass, CoM, rotational inertia) are exposed to an
 optimizer through maps from unconstrained raw vectors: mass stays positive
@@ -18,11 +18,10 @@ reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.
 ``fit`` uses that inverse dynamics is linear in each body's 10 inertial
 parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``, which carries
 each joint's axis down to every body it moves and takes each block of Y as
-the 10 coefficients of ``spatial.inertia_bilinear``): it builds Y once per
-call and evaluates the residual r = Y pi(raw) - tau in floats.  "gd" and
-"adam" pull (2/N) Y^T r back through pi(raw) by one reverse sweep over a tape
-of the map alone, independent of the sample count; "lm" solves a damped
-Gauss-Newton system from G = Y^T Y, formed once, and dpi/draw by forward mode.
+the 10 coefficients of ``spatial.inertia_bilinear``): it builds Y and
+G = Y^T Y once per call, evaluates the residual r = Y pi(raw) - tau in
+floats, and takes Levenberg-Marquardt steps (Marquardt 1963), each a damped
+Gauss-Newton system from G and dpi/draw by forward mode.
 """
 
 from __future__ import annotations
@@ -355,22 +354,6 @@ def _residual(Y, tau, p):
     return r, loss
 
 
-def _raw_gradient(store, Y, r, raw):
-    """Gradient with respect to ``raw`` of the loss whose residual is ``r``:
-    the parameter gradient (2/N) Y^T r, pulled back through pi(raw) by one
-    reverse sweep of <g_pi, pi(raw)>."""
-    g_pi = Y.reshape(-1, Y.shape[-1]).T @ r.ravel() * (2.0 / len(r))
-
-    def pairing(rs):
-        s = 0.0
-        for g, p in zip(g_pi.tolist(), _params(store, rs)):
-            if isinstance(p, ad.Var):
-                s = s + p * g
-        return s
-
-    return ad.gradient(pairing, raw)
-
-
 def _lm_step(store, Y2, G, tau, raw, r, loss, lam):
     """One Levenberg-Marquardt iteration from ``raw``, whose residual is ``r``:
     solves (H + lam D) delta = g, with H = J^T G J (J = dpi/draw, G = Y^T Y),
@@ -420,139 +403,49 @@ class TrainReport:
     identifiability: dict  # {"parameters", "rank", "condition"} at the final raw
 
 
-def fit(store, dataset, optimizer="adam", learning_rate=0.01, epochs=1000,
-        batch_size=None, tol=1e-10, rel_tol=1e-12, patience=10, gravity=None,
-        seed=0):
-    """Identification loop over the store's raw vector.
+def fit(store, dataset, epochs=1000, tol=1e-10, rel_tol=1e-12, gravity=None):
+    """Levenberg-Marquardt identification of the store's raw vector.
 
-    ``optimizer`` is "gd" (plain descent), "adam" (per-coordinate adaptive
-    with momentum) or "lm" (Levenberg-Marquardt, ``_lm_step``: full batch;
-    ``learning_rate``, ``seed`` and ``patience`` unused).  Each epoch, or "lm"
-    iteration, adds one loss to the curve.  Stops when the loss drops below
-    ``tol`` (stop reason "tol", the only one reported as converged), on a
-    plateau ("plateau"), or after ``epochs`` ("max_epochs").  "gd" and "adam"
-    restart from the best point with a halved learning rate after every
-    ``patience`` epochs without a relative improvement of ``rel_tol``, and
-    plateau once it has shrunk ~1e-9x; "lm" plateaus on the first step that
-    gains less than ``rel_tol`` (on noisy torques, the least-squares floor).
-    Divergence (loss above 1e12) raises ``RuntimeError`` with the epoch index,
-    a non-finite loss ``NonFiniteError``.  ``ValueError``, before any work:
-    a ``learning_rate`` that is not positive and finite, an ``epochs`` or
-    ``batch_size`` below 1, a ``batch_size`` with "lm", a ``patience`` that
-    is not an integer >= 1, or a negative or NaN ``tol`` or ``rel_tol``.
+    Each iteration is one ``_lm_step`` and adds its loss to the curve; a step
+    is taken only if it lowers the loss, so the last loss is the lowest.
+    Stops when the loss drops below ``tol`` (stop reason "tol", the only one
+    reported as converged), when a step gains less than ``rel_tol`` of the
+    loss ("plateau": on noisy torques, the least-squares floor), or after
+    ``epochs`` iterations ("max_epochs").  A non-finite loss raises
+    ``NonFiniteError``; an ``epochs`` below 1 or a negative or NaN ``tol`` or
+    ``rel_tol`` raises ``ValueError`` before any work.
 
     The loss is ``inverse_dynamics_loss``, evaluated through the inertial
-    regressor: Y is built once per call, each step (each minibatch, with
-    ``batch_size``) takes the residual r = Y pi(raw) - tau on its rows in
-    floats (see the module docstring), and each epoch's loss is sum(r^2)/N
-    over the whole dataset, whose residual also serves the next full-batch
-    step.  No step runs ``rnea``.  The report carries ``identifiability`` at
-    the final raw vector.
+    regressor Y, built once per call (see the module docstring); no step
+    runs ``rnea``.  The report carries ``identifiability`` at the final raw
+    vector.
     """
     if store.size == 0:
         raise ValueError("no learnable parameters registered")
-    if optimizer not in ("gd", "adam", "lm"):
-        raise ValueError(f"unknown optimizer '{optimizer}'")
-    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
-        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs!r}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    if batch_size is not None and optimizer == "lm":
-        raise ValueError("batch_size is not supported by optimizer 'lm' (full batch only)")
-    if not (isinstance(patience, (int, np.integer)) and patience >= 1):
-        raise ValueError(f"patience must be an integer >= 1, got {patience!r}")
     for name, value in (("tol", tol), ("rel_tol", rel_tol)):
         if not value >= 0.0:
             raise ValueError(f"{name} must be >= 0, got {value!r}")
     _check_dataset(store.model, dataset)
     Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                   gravity=gravity)
-    tau = dataset.tau
+    Y = Y.reshape(-1, Y.shape[-1])
+    G = Y.T @ Y
     raw = store.raw.astype(float).copy()
-    m = np.zeros_like(raw)
-    v = np.zeros_like(raw)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    rng = np.random.default_rng(seed)
-
+    r, loss = _residual(Y, dataset.tau, _params(store, list(raw)))
+    lam = 1e-3  # Levenberg-Marquardt's damping
     losses = []
     stop_reason = "max_epochs"
-    epoch = 0
-    best_loss = math.inf
-    best_raw = raw.copy()
-    since_best = 0
-    cur_lr = learning_rate
-    adam_t = 0
-    lam = 1e-3  # Levenberg-Marquardt's damping
-    r = None  # residual of every sample at the current raw, when known
-    if optimizer == "lm":
-        Y2 = Y.reshape(-1, Y.shape[-1])
-        G = Y2.T @ Y2
-        r, loss = _residual(Y2, tau, _params(store, list(raw)))
-        best_loss = loss  # so that a first step that cannot help is a plateau
     for epoch in range(1, epochs + 1):
-        if optimizer == "lm":
-            raw, r, loss, lam = _lm_step(store, Y2, G, tau, raw, r, loss, lam)
-        else:
-            if batch_size is None or batch_size >= len(dataset):
-                batches = [None]
-            else:
-                order = rng.permutation(len(dataset))
-                batches = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-            for rows in batches:
-                if rows is None:
-                    if r is None:
-                        r, _ = _residual(Y, tau, _params(store, list(raw)))
-                    Yb, rb = Y, r
-                else:
-                    Yb = Y[rows]
-                    rb, _ = _residual(Yb, tau[rows], _params(store, list(raw)))
-                g = _raw_gradient(store, Yb, rb, list(raw))
-                if optimizer == "gd":
-                    raw -= cur_lr * g
-                else:
-                    adam_t += 1
-                    m = beta1 * m + (1.0 - beta1) * g
-                    v = beta2 * v + (1.0 - beta2) * g * g
-                    mhat = m / (1.0 - beta1 ** adam_t)
-                    vhat = v / (1.0 - beta2 ** adam_t)
-                    raw -= cur_lr * mhat / (np.sqrt(vhat) + eps)
-            r, loss = _residual(Y, tau, _params(store, list(raw)))
-        if loss > 1e12:
-            raise RuntimeError(f"training diverged at epoch {epoch} (loss {loss:g})")
+        prev = loss
+        raw, r, loss, lam = _lm_step(store, Y, G, dataset.tau, raw, r, loss, lam)
         losses.append(loss)
-        if loss < best_loss * (1.0 - rel_tol):
-            best_loss = loss
-            best_raw = raw.copy()
-            since_best = 0
-        else:
-            since_best += 1
-        if loss < tol:
-            stop_reason = "tol"
+        if loss < tol or not loss < prev * (1.0 - rel_tol):
+            stop_reason = "tol" if loss < tol else "plateau"
             break
-        if optimizer == "lm" and since_best:  # the step gained less than rel_tol
-            stop_reason = "plateau"
-            break
-        if since_best >= patience:
-            # plateau: restart from the best point with a halved step; give up
-            # once the step has shrunk ~1e-9x without further improvement
-            cur_lr *= 0.5
-            if cur_lr < learning_rate * 1e-9:
-                stop_reason = "plateau"
-                break
-            raw = best_raw.copy()
-            r = None
-            m[:] = 0.0
-            v[:] = 0.0
-            adam_t = 0
-            since_best = 0
-
-    if best_loss < losses[-1]:
-        raw = best_raw
-        losses.append(best_loss)
     store.raw = raw
-    return TrainReport(losses=losses, final_loss=losses[-1],
+    return TrainReport(losses=losses, final_loss=loss,
                        final_params=store.physical_values(), iterations=epoch,
                        converged=stop_reason == "tol", stop_reason=stop_reason,
                        identifiability=identifiability(store, Y, raw))

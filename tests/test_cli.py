@@ -272,7 +272,7 @@ def test_sysid_recovers_mass(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "sysid", fx("pendulum_mass2"),
                             "--data", str(data),
                             "--learn", "bob:mass",
-                            "--epochs", "500", "--lr", "0.05")
+                            "--epochs", "500")
     assert code == 0
     np.testing.assert_allclose(doc["final_params"]["bob.mass"], 1.0,
                                rtol=0.01)
@@ -280,7 +280,7 @@ def test_sysid_recovers_mass(capsys, tmp_path):
 
 
 def test_sysid_defaults_to_levenberg_marquardt(capsys, tmp_path):
-    # the data of test_sysid_recovers_mass, with no optimizer, rate or cap given
+    # the data of test_sysid_recovers_mass, with no cap given
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "200", "--seed", "3",
             "--out", str(data))
@@ -290,8 +290,6 @@ def test_sysid_defaults_to_levenberg_marquardt(capsys, tmp_path):
     assert doc["stop_reason"] == "tol" and doc["converged"] is True
     assert doc["iterations"] == len(doc["loss_curve"]) < 10
     np.testing.assert_allclose(doc["final_params"]["bob.mass"], 1.0, rtol=1e-6)
-    assert run_json(capsys, *argv, "--optimizer", "lm")[1] == doc
-    assert run_json(capsys, *argv, "--optimizer", "adam")[1]["iterations"] > 10
 
 
 def test_sysid_reports_stop_reason(capsys, tmp_path):
@@ -326,15 +324,19 @@ def test_sysid_reports_identifiability(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "nan"),
-                                         ("--lr", "-0.01")])
+                                         ("--lr", "-0.01"), ("--lr", "0.05"),
+                                         ("--optimizer", "adam")])
 def test_sysid_rejects_bad_fit_arguments_with_exit_2(capsys, tmp_path, flag, value):
+    # sysid has no --lr or --optimizer: Levenberg-Marquardt is its only fit
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out", str(data))
     code, out, err = run_cli(capsys, "sysid", fx("pendulum"), "--data", str(data),
                              "--learn", "bob:mass", flag, value)
     assert (code, out) == (2, "")
-    name = "epochs" if flag == "--epochs" else "learning_rate"
-    assert err.startswith(f"error: {name} must be")
+    if flag == "--epochs":
+        assert err.startswith("error: epochs must be")
+    else:
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 def test_sysid_malformed_record_exits_2(capsys, tmp_path):
@@ -471,10 +473,6 @@ ERROR_CASES = {
                              "delimiter: line 1 column 12 (char 11)"),
     "sysid_empty_data": (["sysid", "pendulum", "--data", "{tmp}/empty.jsonl",
                           "--learn", "bob:mass"], 2, "error: {tmp}/empty.jsonl: empty dataset"),
-    "sysid_diverges": (["sysid", "pendulum_mass2", "--data", "{tmp}/train.jsonl",
-                        "--learn", "bob:com", "--optimizer", "gd", "--lr", "1e6",
-                        "--epochs", "50"], 1,
-                       "error: training diverged at epoch 1 (loss 1.22616e+34)"),
 }
 
 
