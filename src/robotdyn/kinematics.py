@@ -126,23 +126,23 @@ _COS_MAX = 1.0 - 1e-12
 
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
-    """IK loss of ``qs`` as ``(loss, position error, orientation error, body
-    world poses, link pose)``, generic over the scalar type of ``qs``.  The
-    orientation error is the angle of ``RᵀR*`` (0 for a position-only target)."""
+    """IK loss of ``qs`` as ``(loss, position error, orientation error θ, body
+    world poses, link pose, c)``, generic over the scalar type of ``qs``.  θ is
+    the angle of ``RᵀR*`` and c its unclamped cosine; 0 and 1 if position-only."""
     world = world_transforms(model, qs)
     X = link_transform(world, frame)
     d = X.trans - target_pos
     pos_sq = d.dot(d)
     if target_rot is None:
-        return pos_sq, ad.sqrt(pos_sq), 0.0, world, X
+        return pos_sq, ad.sqrt(pos_sq), 0.0, world, X, 1.0
     c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
     theta = ad.acos(ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX))
-    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world, X
+    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world, X, c
 
 
-def _pose_gradient(X, J, target_pos, target_rot):
+def _pose_gradient(X, c, J, target_pos, target_rot):
     """Gradient of ``_pose_loss`` at a float configuration, in closed form from
-    the link pose ``X`` and its geometric Jacobian ``J``.
+    its link pose ``X`` and cosine ``c``, and the geometric Jacobian ``J``.
 
     The position term is 2·J_linᵀ(p − p*).  Joint j turns R at the rate
     dR/dq_j = [ω_j]×R, so c = (tr(RᵀR*) − 1)/2 changes at ½·ω_j·vex(A − Aᵀ)
@@ -151,12 +151,10 @@ def _pose_gradient(X, J, target_pos, target_rot):
     is active, as ``ad.minimum``/``ad.maximum`` make the AD gradient.
     """
     grad = 2.0 * (J[3:6].T @ np.array((X.trans - target_pos).tolist()))
-    if target_rot is not None:
-        c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
-        if -_COS_MAX <= c <= _COS_MAX:
-            A = target_rot.matmat(X.rot.T())
-            vex = np.array([A.h - A.f, A.c - A.g, A.d - A.b])
-            grad -= math.acos(c) / math.sqrt(1.0 - c * c) * (J[0:3].T @ vex)
+    if -_COS_MAX <= c <= _COS_MAX:   # c is 1 for a position-only target
+        A = target_rot.matmat(X.rot.T())
+        vex = np.array([A.h - A.f, A.c - A.g, A.d - A.b])
+        grad -= math.acos(c) / math.sqrt(1.0 - c * c) * (J[0:3].T @ vex)
     return grad
 
 
@@ -237,9 +235,8 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
 
     ev = evaluate(q)
     best = (q, ev)
-    it = 0
-    for it in range(max_iters):
-        if converged(ev):
+    for it in range(max_iters + 1):   # ends at the number of iterations that ran
+        if it == max_iters or converged(ev):
             break
         if target_rot is not None and ev[2] > np.pi - 1e-3 and not perturbed:
             # orientation error at the antipode: nudge once to leave the stall
@@ -250,7 +247,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             continue
         # the world and link poses of the iterate's loss feed its Jacobian and gradient
         J = _jacobian(model, ev[3], frame, X=ev[4])
-        grad = _pose_gradient(ev[4], J, target_pos, target_rot)
+        grad = _pose_gradient(ev[4], ev[5], J, target_pos, target_rot)
         found = search(q, ev, newton_direction(J, grad), 1.0)
         if found is None:
             found = search(q, ev, grad, step)

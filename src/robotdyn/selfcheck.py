@@ -1,13 +1,16 @@
 """Cross-algorithm verification suite run by ``robot check``.
 
-Every check pits two independent computation routes against each other on
-seeded random states (inverse vs forward dynamics round trip, mass-matrix
-columns vs unit-acceleration inverse dynamics, articulated-body vs
-factorization forward dynamics, analytic vs finite-difference Jacobians,
-reverse-mode gradients vs finite differences, integrator energy drift).
+Every check pits two independent computation routes against each other
+(inverse vs forward dynamics round trip, mass-matrix columns vs
+unit-acceleration inverse dynamics, articulated-body vs factorization forward
+dynamics, analytic vs finite-difference Jacobians, reverse-mode gradients vs
+finite differences, integrator energy drift) on one ``Sample`` of seeded
+random states, drawn once, whose ``aba`` and mass matrices are evaluated once.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +28,6 @@ def _random_state(model, rng, scale=1.0):
     qd = rng.uniform(-scale, scale, size=model.n)
     tau = rng.uniform(-scale, scale, size=model.n)
     return q, qd, tau
-
-
-def _random_states(model, rng, n_states):
-    """``n_states`` draws of ``_random_state``, in order, as (n, n_states)
-    arrays ``q``, ``qd``, ``tau``: row j holds coordinate j of every state."""
-    draws = [_random_state(model, rng) for _ in range(n_states)]
-    return tuple(np.array(x).T.copy() for x in zip(*draws))
 
 
 def _worst(errors):
@@ -71,60 +67,71 @@ def _central_columns(x, step):
     return list(xs.reshape(m, -1))
 
 
-def _mass_matrices(model, q):
-    """Mass matrices of the (n, k) configurations ``q`` as a (k, n, n) array."""
-    return np.moveaxis(_batch_array(mass_matrix(model, list(q)), q.shape[1]), -1, 0)
+class Sample:
+    """States drawn once from ``default_rng(seed)``: (n, n_states) arrays ``q``,
+    ``qd``, ``tau``, and ``x``, the stacked ``[q; qd; tau]`` of the first
+    ``grad_states`` draws.  ``qdd`` (``aba``) and ``M`` (``mass_matrix``) are
+    evaluated on first read, so each runs once, where a check first reads it."""
+
+    def __init__(self, model, seed, n_states, grad_states):
+        self.model, self.seed = model, seed
+        rng = np.random.default_rng(seed)
+        draws = [_random_state(model, rng) for _ in range(max(n_states, grad_states))]
+        states = [np.array(x).T.copy() for x in zip(*draws)]
+        self.q, self.qd, self.tau = (x[:, :n_states] for x in states)
+        self.x = np.concatenate(states)[:, :grad_states]
+
+    @cached_property
+    def qdd(self):
+        return aba(self.model, list(self.q), list(self.qd), list(self.tau))
+
+    @cached_property
+    def M(self):
+        return np.moveaxis(_batch_array(mass_matrix(self.model, list(self.q)),
+                                        self.q.shape[1]), -1, 0)
 
 
-def check_aba_rnea_roundtrip(model, rng, n_states):
-    q, qd, tau = _random_states(model, rng, n_states)
-    qdd = aba(model, list(q), list(qd), list(tau))
-    back = rnea(model, list(q), list(qd), qdd)
-    return _worst(_rel_inf(back, tau))
+def check_aba_rnea_roundtrip(sample):
+    back = rnea(sample.model, list(sample.q), list(sample.qd), sample.qdd)
+    return _worst(_rel_inf(back, sample.tau))
 
 
-def check_crba_columns(model, rng, n_states):
+def check_crba_columns(sample):
     """Each mass-matrix column against inverse dynamics of a unit acceleration,
     relative to the largest mass-matrix entry of the state."""
-    n = model.n
-    q, _, _ = _random_states(model, rng, n_states)
-    M = _mass_matrices(model, q)
+    q, M = sample.q, sample.M
+    n, k = q.shape
     # column s*n + j: state s, unit acceleration of joint j
-    cols = rnea(model, list(np.repeat(q, n, axis=1)), [0.0] * n,
-                list(np.tile(np.eye(n), n_states)), gravity=(0.0, 0.0, 0.0))
-    cols = np.array(cols).T.reshape(n_states, n, n)  # [s, j, i]
+    cols = rnea(sample.model, list(np.repeat(q, n, axis=1)), [0.0] * n,
+                list(np.tile(np.eye(n), k)), gravity=(0.0, 0.0, 0.0))
+    cols = np.array(cols).T.reshape(k, n, n)  # [s, j, i]
     return _worst(_rel_to_mass(M - cols.transpose(0, 2, 1), M))
 
 
-def check_aba_vs_cholesky(model, rng, n_states):
-    q, qd, tau = _random_states(model, rng, n_states)
-    a1 = aba(model, list(q), list(qd), list(tau))
-    a2 = forward_dynamics_cholesky(model, list(q), list(qd), list(tau))
-    return _worst(_rel_inf(a1, a2))
+def check_aba_vs_cholesky(sample):
+    return _worst(_rel_inf(sample.qdd, forward_dynamics_cholesky(
+        sample.model, list(sample.q), list(sample.qd), list(sample.tau))))
 
 
-def check_mass_matrix_symmetry(model, rng, n_states):
+def check_mass_matrix_symmetry(sample):
     """Largest |M - Mᵀ| entry relative to the largest |M| entry of the state."""
-    q, _, _ = _random_states(model, rng, n_states)
-    M = _mass_matrices(model, q)
-    return _worst(_rel_to_mass(M - M.transpose(0, 2, 1), M))
+    return _worst(_rel_to_mass(sample.M - sample.M.transpose(0, 2, 1), sample.M))
 
 
-def check_mass_matrix_pd(model, rng, n_states):
+def check_mass_matrix_pd(sample):
     """0.0 when every sampled mass matrix admits a Cholesky factorization."""
-    q, _, _ = _random_states(model, rng, n_states)
     try:
-        np.linalg.cholesky(_mass_matrices(model, q))
+        np.linalg.cholesky(sample.M)
     except np.linalg.LinAlgError:
         return 1.0
     return 0.0
 
 
-def check_jacobian_fd(model, rng, n_states, step=1e-6):
+def check_jacobian_fd(sample, step=1e-6):
     """Analytic geometric Jacobian vs central finite differences of FK."""
-    n = model.n
+    model, q = sample.model, sample.q
+    n, n_states = q.shape
     link = model.link_names()[-1]
-    q, _, _ = _random_states(model, rng, n_states)
     J = link_jacobian(model, list(q), link)              # [row, j, s]
     R = _batch_array(forward_kinematics(model, list(q))[link].rotation.values(), n_states)
     pose = forward_kinematics(model, _central_columns(q, step))[link]
@@ -143,12 +150,11 @@ def check_jacobian_fd(model, rng, n_states, step=1e-6):
                              np.max(np.abs(J[0:3] - fd_ang), axis=0)))
 
 
-def check_ad_vs_fd(model, rng, n_states, step=1e-6):
+def check_ad_vs_fd(sample, step=1e-6):
     """Reverse-mode gradients of each inverse-dynamics output vs central FD."""
+    model, x = sample.model, sample.x                                 # [i, s]
+    m, n_states = x.shape
     n = model.n
-    m = 3 * n
-    q, qd, tau = _random_states(model, rng, n_states)
-    x = np.concatenate([q, qd, tau])                                  # [i, s]
     # one tape per state, one backward sweep per output: G[s, k, i]
     G = np.array([ad.jacobian_rev(lambda xs: rnea(model, xs[:n], xs[n:2 * n], xs[2 * n:]),
                                   list(x[:, s])) for s in range(n_states)])
@@ -159,10 +165,11 @@ def check_ad_vs_fd(model, rng, n_states, step=1e-6):
     return _worst(np.abs(G - fd) / np.maximum(1.0, np.abs(G)))
 
 
-def check_energy_drift(model, rng, steps=300, dt=1e-3):
-    """Relative energy drift of a passive zero-gravity rollout; NaN when the
-    rollout reaches a non-finite state, as it does when the dynamics return
-    NaN."""
+def check_energy_drift(sample, steps=300, dt=1e-3):
+    """Relative energy drift of a passive zero-gravity rollout from a start
+    drawn from a fresh ``default_rng(seed)``; NaN when the rollout reaches a
+    non-finite state, as it does when the dynamics return NaN."""
+    model, rng = sample.model, np.random.default_rng(sample.seed)
     q0 = rng.uniform(-0.5, 0.5, size=model.n)
     qd0 = rng.uniform(0.5, 1.0, size=model.n)
     g = (0.0, 0.0, 0.0)
@@ -189,21 +196,16 @@ CHECKS = (
 
 
 def run_checks(model, seed=0, n_states=20, grad_states=3):
-    """Run the full oracle suite; returns a report dict.
+    """Run the full oracle suite on one ``Sample``; returns a report dict.
 
     A check whose error is NaN (a route returned NaN) fails, and its
     ``max_error`` reads NaN.
     """
+    sample = Sample(model, seed, n_states, grad_states)
     report = {"model": model.name, "dof": model.n, "seed": seed, "checks": {}}
     all_pass = True
     for name, fn, tol in CHECKS:
-        rng = np.random.default_rng(seed)
-        if fn is check_energy_drift:
-            err = fn(model, rng)
-        elif fn is check_ad_vs_fd:
-            err = fn(model, rng, grad_states)
-        else:
-            err = fn(model, rng, n_states)
+        err = fn(sample)
         ok = bool(np.isfinite(err) and err < tol)
         all_pass = all_pass and ok
         report["checks"][name] = {"max_error": float(err), "tolerance": tol,

@@ -18,7 +18,6 @@ from robotdyn.kinematics import (
     forward_kinematics,
     inverse_kinematics,
     link_jacobian,
-    link_transform,
     local_transforms,
     world_transforms,
 )
@@ -161,9 +160,8 @@ def ik_gradients(model, link, q, target_pos, target_rot):
     """The analytic IK gradient at ``q`` and its oracle, reverse-mode AD of
     the pose loss."""
     frame = model.link(link)
-    world = world_transforms(model, list(q))
-    g = _pose_gradient(link_transform(world, frame), _jacobian(model, world, frame),
-                       target_pos, target_rot)
+    ev = _pose_loss(model, frame, list(q), target_pos, target_rot)
+    g = _pose_gradient(ev[4], ev[5], _jacobian(model, ev[3], frame), target_pos, target_rot)
     g_ad = ad.gradient(lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot)[0],
                        list(q))
     return g, np.array(g_ad)
@@ -352,6 +350,23 @@ def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
     assert res.converged and res.restarts == 0 and res.iterations >= 3
     assert calls["_jacobian"] == res.iterations
     assert calls["link_transform"] == calls["_pose_loss"] > res.iterations
+
+
+@pytest.mark.parametrize("max_iters", [1, 3])
+def test_ik_counts_every_iteration_of_a_solve_that_runs_to_the_cap(six_dof, monkeypatch,
+                                                                     max_iters):
+    jacobians = [0]
+    jacobian = kinematics._jacobian
+
+    def counted(*args, **kwargs):
+        jacobians[0] += 1
+        return jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(kinematics, "_jacobian", counted)
+    res = inverse_kinematics(six_dof, Vec3(5.0, 0.0, 0.0), "tool", q0=[0.0] * 6,
+                             max_iters=max_iters)
+    assert not res.converged
+    assert res.iterations == jacobians[0] == max_iters
 
 
 # ---------------------------------------------------------------------------

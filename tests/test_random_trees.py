@@ -28,10 +28,6 @@ from test_kinematics import assert_ik_gradient_matches_ad
 from test_learn import FIELD_SETS, assert_fit_gradient_matches_loss_gradient
 
 MOVABLE = ("revolute", "continuous", "prismatic")
-ALGEBRA_CHECKS = ("aba_rnea_roundtrip", "crba_columns", "aba_vs_cholesky",
-                  "mass_matrix_symmetry", "mass_matrix_positive_definite",
-                  "jacobian_vs_finite_difference", "gradient_vs_finite_difference",
-                  "energy_drift")
 
 angles = st.floats(-np.pi, np.pi)
 rpys = st.tuples(angles, angles, angles)
@@ -116,15 +112,9 @@ def test_random_tree_passes_algebraic_checks(tree):
     links, joints = tree
     model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
     assert model.n == sum(j[1] != "fixed" for j in joints)
-    for name, fn, tol in selfcheck.CHECKS:
-        if name not in ALGEBRA_CHECKS:
-            continue
-        rng = np.random.default_rng(0)
-        if fn is selfcheck.check_energy_drift:
-            err = fn(model, rng)
-        else:
-            err = fn(model, rng, 1 if fn is selfcheck.check_ad_vs_fd else 3)
-        assert err < tol, f"{name}: max_error {err:.3g} >= {tol:g}"
+    report = selfcheck.run_checks(model, seed=0, n_states=3, grad_states=1)
+    for name, c in report["checks"].items():
+        assert c["passed"], f"{name}: max_error {c['max_error']:.3g} >= {c['tolerance']:g}"
 
 
 @settings(max_examples=45, deadline=None, derandomize=True, database=None)

@@ -3,8 +3,9 @@
 Each ``_ref_*`` function below evaluates one sampled check the way the suite
 did before it was batched: one scalar call per state (per column for the
 finite-difference checks), drawing the states from ``rng`` in the same
-order.  The batched checks must return the same error, bit for bit, on the
-dynamics fixtures and on random trees.
+order.  The batched checks, reading one shared ``selfcheck.Sample``, must
+return the same error, bit for bit, on the dynamics fixtures and on random
+trees.
 """
 
 import re
@@ -147,9 +148,11 @@ CHECK_TOLS = {name: tol for name, _, tol in selfcheck.CHECKS}
 
 
 def _assert_same_as_reference(model, seed, n_states, grad_states):
+    # every check reads one shared sample, as in run_checks
+    sample = selfcheck.Sample(model, seed, n_states, grad_states)
     for name, ref in REFERENCES.items():
         k = grad_states if name == "gradient_vs_finite_difference" else n_states
-        got = CHECK_FNS[name](model, np.random.default_rng(seed), k)
+        got = CHECK_FNS[name](sample)
         want = ref(model, np.random.default_rng(seed), k)
         assert float(got) == float(want), f"{name}: batched {got!r}, per state {want!r}"
 
@@ -173,6 +176,10 @@ def test_batched_checks_equal_per_state_reference_on_random_trees(tree):
     _assert_same_as_reference(model, 5, n_states=4, grad_states=1)
 
 
+def test_gradient_check_reads_more_states_than_the_others_when_asked(two_link):
+    _assert_same_as_reference(two_link, 2, n_states=1, grad_states=2)
+
+
 def test_mass_matrix_pd_reports_an_indefinite_sample():
     # a leaf with no rotational inertia about a revolute axis through its CoM
     # gives a singular mass matrix at every configuration
@@ -182,8 +189,7 @@ def test_mass_matrix_pd_reports_an_indefinite_sample():
     joints = [("j1", "continuous", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
               ("j2", "continuous", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
     model = rd.build_model(rd.parse_urdf(urdf_text("flat_leaf", links, joints)))
-    rng = np.random.default_rng(0)
-    assert selfcheck.check_mass_matrix_pd(model, rng, 5) == 1.0
+    assert selfcheck.check_mass_matrix_pd(selfcheck.Sample(model, 0, 5, 3)) == 1.0
     assert _ref_mass_matrix_pd(model, np.random.default_rng(0), 5) == 1.0
 
 
@@ -197,9 +203,25 @@ def test_jacobian_check_evaluates_fk_at_most_twice_per_state(six_dof, monkeypatc
 
     monkeypatch.setattr(selfcheck, "forward_kinematics", counting)
     n_states = 20
-    selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), n_states)
+    selfcheck.check_jacobian_fd(selfcheck.Sample(six_dof, 1, n_states, 3))
     assert 0 < calls[0] <= 2 * n_states
 
+
+def test_run_checks_evaluates_aba_and_the_mass_matrices_once(six_dof, monkeypatch):
+    calls = dict.fromkeys(("aba", "mass_matrix", "forward_dynamics_cholesky"), 0)
+
+    def counted(name):
+        fn = getattr(selfcheck, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(selfcheck, name, counted(name))
+    assert selfcheck.run_checks(six_dof, seed=1)["passed"]
+    assert calls == {"aba": 1, "mass_matrix": 1, "forward_dynamics_cholesky": 1}
 
 
 def _heavy_two_link():
@@ -212,13 +234,14 @@ def test_nan_dynamics_error_fails_its_check():
     q, qd, tau = _random_state(model, np.random.default_rng(0))
     assert np.all(np.isnan(aba(model, list(q), list(qd), list(tau))))
     for name in ("aba_rnea_roundtrip", "aba_vs_cholesky"):
-        err = CHECK_FNS[name](model, np.random.default_rng(0), 5)
+        err = CHECK_FNS[name](selfcheck.Sample(model, 0, 5, 3))
         assert np.isnan(err), f"{name} returned {err!r}"
 
 
 def test_nan_dynamics_fail_the_energy_drift_check():
     # the rollout reaches a non-finite state at its first step
-    assert np.isnan(selfcheck.check_energy_drift(_heavy_two_link(), np.random.default_rng(0)))
+    sample = selfcheck.Sample(_heavy_two_link(), 0, 5, 3)
+    assert np.isnan(selfcheck.check_energy_drift(sample))
 
 
 def test_nan_jacobian_entry_fails_the_jacobian_check(six_dof, monkeypatch):
@@ -228,7 +251,7 @@ def test_nan_jacobian_entry_fails_the_jacobian_check(six_dof, monkeypatch):
         return J
 
     monkeypatch.setattr(selfcheck, "link_jacobian", one_nan)
-    assert np.isnan(selfcheck.check_jacobian_fd(six_dof, np.random.default_rng(1), 3))
+    assert np.isnan(selfcheck.check_jacobian_fd(selfcheck.Sample(six_dof, 1, 3, 3)))
 
 
 def _six_dof_scaled(factor):
@@ -249,7 +272,7 @@ def test_mass_matrix_checks_hold_at_any_inertia_scale(name):
     fn, tol = CHECK_FNS[name], CHECK_TOLS[name]
     for factor in (1.0, 1e8):
         model = _six_dof_scaled(factor)
-        assert fn(model, np.random.default_rng(0), 20) < tol, factor
+        assert fn(selfcheck.Sample(model, 0, 20, 3)) < tol, factor
 
 
 @pytest.mark.parametrize("name", MASS_MATRIX_CHECKS)
@@ -262,5 +285,5 @@ def test_mass_matrix_checks_fail_on_a_tampered_mass_matrix(name, monkeypatch):
     monkeypatch.setattr(selfcheck, "mass_matrix", tampered)
     for factor in (1.0, 1e8):
         model = _six_dof_scaled(factor)
-        err = CHECK_FNS[name](model, np.random.default_rng(0), 20)
+        err = CHECK_FNS[name](selfcheck.Sample(model, 0, 20, 3))
         assert err > CHECK_TOLS[name], (factor, err)
