@@ -1,7 +1,7 @@
 """``robot`` command-line front end.
 
 Grammar: ``robot <info|fk|jac|id|fd|ik|gen-data|sysid|check> <urdf> [flags]``.
-Vector flags are comma-separated decimals (radians / meters / SI units).
+Vector flags are comma-separated finite decimals (radians / meters / SI units).
 With ``--format json`` each subcommand writes exactly one JSON document to
 stdout (floats with 17 significant digits, round-trip exact); diagnostics
 go to stderr.  Exit codes: 0 success, 1 runtime/numerical failure,
@@ -11,6 +11,7 @@ go to stderr.  Exit codes: 0 success, 1 runtime/numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -82,9 +83,12 @@ def _emit(args, payload, text_lines):
 
 def _parse_vec(text, flag):
     try:
-        return [float(p) for p in text.split(",")]
+        v = [float(p) for p in text.split(",")]
     except ValueError:
         raise CliError(f"{flag}: expected comma-separated decimals, got {text!r}")
+    if all(map(math.isfinite, v)):
+        return v
+    raise CliError(f"{flag}: values must be finite, got {text!r}")
 
 
 def _vec_n(args, name, n):
@@ -97,11 +101,11 @@ def _vec_n(args, name, n):
     return v
 
 
-def _gravity(args):
-    v = _parse_vec(args.gravity, "--gravity")
-    if len(v) != 3:
-        raise CliError(f"--gravity: expected 3 values, got {len(v)}")
-    return Vec3(v[0], v[1], v[2])
+def _require_finite(what, values, cause):
+    """Exit 1 when a result has a non-finite entry, naming the ``cause`` to check."""
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"non-finite {what} {[float(x) for x in values]}; check {cause} "
+                       "and the state", code=EXIT_RUNTIME)
 
 
 def _load_desc(path):
@@ -181,10 +185,11 @@ def cmd_fk(args):
     poses = forward_kinematics(model, q)
     model.link(args.link)  # an unknown link raises with the message of jac and ik
     pose = poses[args.link]
-    R = pose.rotation.values()
+    R = [x for row in pose.rotation.values() for x in row]
+    _require_finite("link pose", pose.position.values() + R, "joint origins")
     payload = {"link": args.link,
                "position": pose.position.values(),
-               "rotation_matrix": [x for row in R for x in row],
+               "rotation_matrix": R,
                "quaternion_wxyz": _quaternion_wxyz(pose.rotation)}
     lines = [f"link: {args.link}", f"position: {payload['position']}",
              f"quaternion_wxyz: {payload['quaternion_wxyz']}"]
@@ -196,6 +201,7 @@ def cmd_jac(args):
     model = _load_model(args.urdf, kinematics_only=True)
     q = _vec_n(args, "q", model.n)
     J = link_jacobian(model, q, args.link)
+    _require_finite("Jacobian", J.reshape(-1), "joint origins")
     payload = {"link": args.link, "rows": 6, "cols": model.n,
                "jacobian": [float(x) for x in J.reshape(-1)]}
     lines = [f"link: {args.link}"] + [f"  {list(row)}" for row in J]
@@ -208,7 +214,8 @@ def cmd_id(args):
     q = _vec_n(args, "q", model.n)
     qd = _vec_n(args, "qd", model.n)
     qdd = _vec_n(args, "qdd", model.n)
-    tau = [float(t) for t in rnea(model, q, qd, qdd, gravity=_gravity(args))]
+    tau = [float(t) for t in rnea(model, q, qd, qdd, gravity=_vec_n(args, "gravity", 3))]
+    _require_finite("joint torques", tau, "link inertias")
     _emit(args, {"tau": tau}, [f"tau: {tau}"])
     return EXIT_OK
 
@@ -218,10 +225,8 @@ def cmd_fd(args):
     q = _vec_n(args, "q", model.n)
     qd = _vec_n(args, "qd", model.n)
     tau = _vec_n(args, "tau", model.n)
-    qdd = [float(x) for x in aba(model, q, qd, tau, gravity=_gravity(args))]
-    if not np.all(np.isfinite(qdd)):
-        raise DynamicsError(f"non-finite joint accelerations {qdd}; check link inertias "
-                            "and the state")
+    qdd = [float(x) for x in aba(model, q, qd, tau, gravity=_vec_n(args, "gravity", 3))]
+    _require_finite("joint accelerations", qdd, "link inertias")
     _emit(args, {"qdd": qdd}, [f"qdd: {qdd}"])
     return EXIT_OK
 
@@ -251,7 +256,7 @@ def cmd_ik(args):
 
 def cmd_gen_data(args):
     model = _load_model(args.urdf)
-    ds = learn_mod.generate_dataset(model, args.n, gravity=_gravity(args),
+    ds = learn_mod.generate_dataset(model, args.n, gravity=_vec_n(args, "gravity", 3),
                                     seed=args.seed, noise_std=args.noise_std)
     try:
         ds.save_jsonl(args.out)
@@ -284,7 +289,7 @@ def cmd_sysid(args):
             store.make_learnable(link, field)
         except (KeyError, ValueError) as e:
             raise CliError(f"--learn: {_message(e)}")
-    report = learn_mod.fit(store, ds, epochs=args.epochs, gravity=_gravity(args))
+    report = learn_mod.fit(store, ds, epochs=args.epochs, gravity=_vec_n(args, "gravity", 3))
     payload = {"loss_curve": report.losses, "final_loss": report.final_loss,
                "final_params": report.final_params, "iterations": report.iterations,
                "converged": report.converged, "stop_reason": report.stop_reason,
@@ -331,10 +336,7 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("urdf", help="path to a URDF file")
-        sp.add_argument("--gravity", default="0,0,-9.81",
-                        help="gravity vector gx,gy,gz (m/s^2)")
         sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
         return sp
 
     common(sub.add_parser("info", help="model summary and validation report"))
@@ -357,7 +359,7 @@ def build_parser():
     fd.add_argument("--qd")
     fd.add_argument("--tau")
 
-    ik = common(sub.add_parser("ik", help="gradient-descent inverse kinematics"))
+    ik = common(sub.add_parser("ik", help="damped Gauss-Newton inverse kinematics"))
     ik.add_argument("--link", required=True)
     ik.add_argument("--target", required=True,
                     help="x,y,z or 12 values (rotation row-major, then position)")
@@ -378,7 +380,11 @@ def build_parser():
     sysid.add_argument("--epochs", type=int, default=1000,
                        help="cap on Levenberg-Marquardt iterations")
 
-    common(sub.add_parser("check", help="run the cross-algorithm oracle suite"))
+    check = common(sub.add_parser("check", help="run the cross-algorithm oracle suite"))
+    for sp in (idp, fd, gen, sysid):
+        sp.add_argument("--gravity", default="0,0,-9.81", help="gravity vector gx,gy,gz (m/s^2)")
+    for sp in (ik, gen, sysid, check):  # sysid draws nothing, but callers pass --seed
+        sp.add_argument("--seed", type=int, default=0)
     return p
 
 

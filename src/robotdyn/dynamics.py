@@ -4,7 +4,7 @@ Implements the classic O(n) / O(n^2) recursions over spatial vectors:
 inverse dynamics (recursive Newton-Euler) and its regressor in the inertial
 parameters, the joint-space mass matrix (composite rigid body), forward
 dynamics (articulated body), plus an independent mass-matrix-factorization
-route to forward dynamics and a fixed-step check integrator.
+route to forward dynamics and a fixed-step RK4 check integrator.
 
 Gravity is folded in as a fictitious base acceleration of -g, so a single
 code path serves gravity on and off.  All functions are pure and generic
@@ -353,16 +353,14 @@ def total_energy(model, q, qd, gravity=None, inertias=None):
     return kin + float(potential_energy(model, q, gravity=gravity, inertias=inertias))
 
 
-def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None,
-             integrator="rk4", inertias=None):
-    """Fixed-step rollout with accelerations from the articulated-body solver.
+def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
+    """Fixed-step RK4 rollout with accelerations from the articulated-body solver.
 
     ``torque_fn(t, q, qd)`` returns the joint torque vector (may be None for
     passive motion).  Returns a list of (t, q, qd, qdd) with numpy arrays,
     including the initial state.  Each step starts from the ``qdd`` of the
     sample before it, so ``torque_fn`` and the articulated-body solver run
-    1 + 4·steps times with ``rk4`` and 1 + steps times with
-    ``semi-implicit-euler``.  A non-finite state or torque raises
+    1 + 4·steps times.  A non-finite state or torque raises
     ``NonFiniteStateError`` ("non-finite initial state", or "non-finite state
     at step i"); ``torque_fn`` never sees a non-finite state.  This is a
     verification tool, not a production simulator: no contacts, no
@@ -391,8 +389,6 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None,
         raise ValueError("dt must be positive")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if integrator not in ("rk4", "semi-implicit-euler"):
-        raise ValueError(f"unknown integrator '{integrator}'")
 
     n = model.n
     # the state and every stage are Python float lists: the same IEEE
@@ -430,20 +426,16 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None,
     t, half, sixth = 0.0, 0.5 * dt, dt / 6.0
     for step_idx in range(steps):
         where = f"state at step {step_idx}"
-        if integrator == "semi-implicit-euler":
-            qd = [v + dt * a for v, a in zip(qd, qdd)]
-            q = [x + dt * v for x, v in zip(q, qd)]
-        else:
-            k2q = [v + half * a for v, a in zip(qd, qdd)]
-            k2v = accel(t + half, [x + half * v for x, v in zip(q, qd)], k2q, where)
-            k3q = [v + half * a for v, a in zip(qd, k2v)]
-            k3v = accel(t + half, [x + half * v for x, v in zip(q, k2q)], k3q, where)
-            k4q = [v + dt * a for v, a in zip(qd, k3v)]
-            k4v = accel(t + dt, [x + dt * v for x, v in zip(q, k3q)], k4q, where)
-            q = [x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-                 for x, k1, k2, k3, k4 in zip(q, qd, k2q, k3q, k4q)]
-            qd = [v + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
-                  for v, k1, k2, k3, k4 in zip(qd, qdd, k2v, k3v, k4v)]
+        k2q = [v + half * a for v, a in zip(qd, qdd)]
+        k2v = accel(t + half, [x + half * v for x, v in zip(q, qd)], k2q, where)
+        k3q = [v + half * a for v, a in zip(qd, k2v)]
+        k3v = accel(t + half, [x + half * v for x, v in zip(q, k2q)], k3q, where)
+        k4q = [v + dt * a for v, a in zip(qd, k3v)]
+        k4v = accel(t + dt, [x + dt * v for x, v in zip(q, k3q)], k4q, where)
+        q = [x + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+             for x, k1, k2, k3, k4 in zip(q, qd, k2q, k3q, k4q)]
+        qd = [v + sixth * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+              for v, k1, k2, k3, k4 in zip(qd, qdd, k2v, k3v, k4v)]
         t += dt
         qdd = accel(t, q, qd, where)
         traj.append((t, np.array(q), np.array(qd), np.array(qdd)))

@@ -1,4 +1,4 @@
-"""Forward kinematics, geometric Jacobians and gradient-descent IK."""
+"""Forward kinematics, geometric Jacobians and damped Gauss-Newton IK."""
 
 from __future__ import annotations
 
@@ -123,6 +123,8 @@ def _check_q(model, q):
 
 # bound on the cosine of the orientation error, so that acos stays differentiable
 _COS_MAX = 1.0 - 1e-12
+POS_TOLERANCE, ROT_TOLERANCE = 1e-5, 1e-4  # IK convergence: position (m), angle (rad)
+_STEP = 0.1  # first step length of the gradient fallback
 
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
@@ -158,9 +160,7 @@ def _pose_gradient(X, c, J, target_pos, target_rot):
     return grad
 
 
-def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
-                       pos_tolerance=1e-5, rot_tolerance=1e-4,
-                       position_only=None, seed=0):
+def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     """IK by damped Gauss-Newton steps, with gradient descent as the fallback,
     backtracking line searches and limit clamping.
 
@@ -171,15 +171,16 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     only as its test oracle.  A stall restarts from the best of five random
     in-limit configurations, and the best iterate is returned.
 
-    ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  Joint
-    limits are enforced by projection after every step.  Non-convergence is
-    reported through the returned flag, never as an exception.  ``ValueError``
-    names a non-finite entry of ``q0`` or of the target (its rotation if used),
-    ``max_iters < 0``, or a tolerance or ``step_size`` not positive and finite.
+    ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  A solve
+    converges when the position error is below ``POS_TOLERANCE`` and, for a
+    Pose, the orientation error below ``ROT_TOLERANCE``.  Joint limits are
+    enforced by projection after every step.  Non-convergence is reported
+    through the returned flag, never as an exception.  ``ValueError`` names a
+    non-finite entry of ``q0`` or of the target, or ``max_iters < 0``.
     """
     frame = model.link(link)
     _check_q(model, q0)
-    target_rot = target.rotation if isinstance(target, Pose) and not position_only else None
+    target_rot = target.rotation if isinstance(target, Pose) else None
     target_pos = target.position if isinstance(target, Pose) else target
     if not isinstance(target_pos, Vec3):
         target_pos = Vec3.fromlist(list(target_pos))
@@ -189,10 +190,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             (target_rot is None or all(map(math.isfinite, sum(target_rot.rows(), []))),
              "target rotation must be finite"),
             (np.isfinite(q0).all(), "q0 must be finite"),
-            (max_iters >= 0, "max_iters must be >= 0"),
-            (0.0 < step_size < math.inf, "step_size must be positive and finite"),
-            (0.0 < pos_tolerance < math.inf, "pos_tolerance must be positive and finite"),
-            (0.0 < rot_tolerance < math.inf, "rot_tolerance must be positive and finite")):
+            (max_iters >= 0, "max_iters must be >= 0")):
         if not ok:
             raise ValueError(message)
 
@@ -203,14 +201,14 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
     damping = 1e-6 * np.eye(model.n)
     rng = random.Random(seed)
     perturbed = False
-    step = step_size
+    step = _STEP
     restarts = backtracks = stagnant = 0
 
     def evaluate(qv):
         return _pose_loss(model, frame, qv.tolist(), target_pos, target_rot)
 
     def converged(ev):
-        return ev[1] < pos_tolerance and (target_rot is None or ev[2] < rot_tolerance)
+        return ev[1] < POS_TOLERANCE and (target_rot is None or ev[2] < ROT_TOLERANCE)
 
     def newton_direction(J, grad):
         # Gauss-Newton curvature of the squared-error loss from the geometric
@@ -252,7 +250,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
         if found is None:
             found = search(q, ev, grad, step)
             if found is not None:
-                step = min(found[2] * 1.5, 1e3 * step_size)
+                step = min(found[2] * 1.5, 1e3 * _STEP)
         if found is not None:
             loss_before = ev[0]
             q, ev, _ = found
@@ -267,7 +265,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, step_size=0.1,
             cands = [np.array([rng.uniform(a, b) for a, b in zip(lo_s, hi_s)])
                      for _ in range(5)]
             q, ev = min(((c, evaluate(c)) for c in cands), key=lambda c: c[1][0])
-            step = step_size
+            step = _STEP
             stagnant = 0
             perturbed = False
 

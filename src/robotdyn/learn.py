@@ -37,6 +37,8 @@ from .dynamics import regressor, rnea
 from .spatial import Mat33, SpatialInertia, Vec3, parallel_axis_term
 
 SPD_EPS = 1e-9  # diagonal floor keeping mapped inertias safely invertible
+FIT_TOL = 1e-10       # fit converges once the loss (N²m²) is below this
+FIT_REL_TOL = 1e-12   # and plateaus once a step gains less than this share of it
 
 
 def positive_scalar_map(raw):
@@ -286,20 +288,21 @@ def _mixed_length(path, keys):
     return f"{path}: records have mixed vector lengths"
 
 
-def generate_dataset(model, n_samples, q_range=(-np.pi, np.pi), qd_range=(-2.0, 2.0),
-                     qdd_range=(-2.0, 2.0), gravity=None, seed=0, noise_std=0.0):
+def generate_dataset(model, n_samples, gravity=None, seed=0, noise_std=0.0):
     """Seeded random states with torques from inverse dynamics.
 
-    The same seed always yields the identical dataset.  ``noise_std`` adds
-    optional Gaussian noise to the torque column.
+    q is uniform in [-π, π], q̇ and q̈ in [-2, 2]; one seed gives one dataset.
+    ``noise_std`` (finite, >= 0) adds Gaussian noise to the torque column.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     n = model.n
     rng = np.random.default_rng(seed)
-    q = rng.uniform(q_range[0], q_range[1], size=(n_samples, n))
-    qd = rng.uniform(qd_range[0], qd_range[1], size=(n_samples, n))
-    qdd = rng.uniform(qdd_range[0], qdd_range[1], size=(n_samples, n))
+    q = rng.uniform(-np.pi, np.pi, size=(n_samples, n))
+    qd = rng.uniform(-2.0, 2.0, size=(n_samples, n))
+    qdd = rng.uniform(-2.0, 2.0, size=(n_samples, n))
     tau_cols = rnea(model, list(q.T), list(qd.T), list(qdd.T), gravity=gravity)
     tau = np.stack([np.asarray(c) for c in tau_cols], axis=1)
     if noise_std > 0.0:
@@ -398,22 +401,22 @@ class TrainReport:
     final_loss: float
     final_params: dict
     iterations: int
-    converged: bool    # the loss fell below ``tol``
+    converged: bool    # the loss fell below ``FIT_TOL``
     stop_reason: str   # "tol", "plateau" or "max_epochs"
     identifiability: dict  # {"parameters", "rank", "condition"} at the final raw
 
 
-def fit(store, dataset, epochs=1000, tol=1e-10, rel_tol=1e-12, gravity=None):
+def fit(store, dataset, epochs=1000, gravity=None):
     """Levenberg-Marquardt identification of the store's raw vector.
 
     Each iteration is one ``_lm_step`` and adds its loss to the curve; a step
     is taken only if it lowers the loss, so the last loss is the lowest.
-    Stops when the loss drops below ``tol`` (stop reason "tol", the only one
-    reported as converged), when a step gains less than ``rel_tol`` of the
-    loss ("plateau": on noisy torques, the least-squares floor), or after
-    ``epochs`` iterations ("max_epochs").  A non-finite loss raises
-    ``NonFiniteError``; an ``epochs`` below 1 or a negative or NaN ``tol`` or
-    ``rel_tol`` raises ``ValueError`` before any work.
+    Stops when the loss drops below ``FIT_TOL`` (stop reason "tol", the only
+    one reported as converged), when a step gains less than
+    ``FIT_REL_TOL`` of the loss ("plateau": on noisy torques, the
+    least-squares floor), or after ``epochs`` iterations ("max_epochs").  A
+    non-finite loss raises ``NonFiniteError``; an ``epochs`` below 1 raises
+    ``ValueError`` before any work.
 
     The loss is ``inverse_dynamics_loss``, evaluated through the inertial
     regressor Y, built once per call (see the module docstring); no step
@@ -424,9 +427,6 @@ def fit(store, dataset, epochs=1000, tol=1e-10, rel_tol=1e-12, gravity=None):
         raise ValueError("no learnable parameters registered")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs!r}")
-    for name, value in (("tol", tol), ("rel_tol", rel_tol)):
-        if not value >= 0.0:
-            raise ValueError(f"{name} must be >= 0, got {value!r}")
     _check_dataset(store.model, dataset)
     Y = regressor(store.model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
                   gravity=gravity)
@@ -441,8 +441,8 @@ def fit(store, dataset, epochs=1000, tol=1e-10, rel_tol=1e-12, gravity=None):
         prev = loss
         raw, r, loss, lam = _lm_step(store, Y, G, dataset.tau, raw, r, loss, lam)
         losses.append(loss)
-        if loss < tol or not loss < prev * (1.0 - rel_tol):
-            stop_reason = "tol" if loss < tol else "plateau"
+        if loss < FIT_TOL or not loss < prev * (1.0 - FIT_REL_TOL):
+            stop_reason = "tol" if loss < FIT_TOL else "plateau"
             break
     store.raw = raw
     return TrainReport(losses=losses, final_loss=loss,

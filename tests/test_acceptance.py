@@ -207,7 +207,7 @@ def test_criterion_5_system_identification(capsys, pendulum, two_link):
     ds = generate_dataset(pendulum, 500, seed=3)
     store = make_learnable(pendulum, "bob", "mass")
     store.raw = np.array([positive_scalar_init(2.0)])
-    rep = fit(store, ds, epochs=2000, tol=1e-10)
+    rep = fit(store, ds, epochs=2000)
     results.append(("pendulum", rep, {"bob.mass": 1.0}))
 
     ds2 = generate_dataset(two_link, 500, seed=4)
@@ -215,7 +215,7 @@ def test_criterion_5_system_identification(capsys, pendulum, two_link):
     store2.make_learnable("link2", "mass")
     store2.raw = np.array([positive_scalar_init(2.0),
                            positive_scalar_init(2.0)])
-    rep2 = fit(store2, ds2, epochs=2000, tol=1e-10)
+    rep2 = fit(store2, ds2, epochs=2000)
     results.append(("two_link", rep2, {"link1.mass": 1.0, "link2.mass": 1.0}))
 
     elapsed = time.time() - t0

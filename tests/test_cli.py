@@ -1,5 +1,6 @@
 """CLI contract: JSON schemas, exit codes, determinism, golden values."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import robotdyn as rd
-from robotdyn.cli import dumps17, main
-from conftest import heavy_two_link_urdf
+from robotdyn.cli import build_parser, dumps17, main
+from conftest import heavy_two_link_urdf, urdf_text
 
 
 def fx(name):
@@ -447,6 +448,90 @@ def test_usage_errors_exit_2(capsys):
     assert main(["not-a-command"]) == 2
 
 
+# the flags each subcommand reads, besides the URDF path and -h
+SUBCOMMAND_FLAGS = {
+    "info": ["--format"],
+    "fk": ["--format", "--link", "--q"],
+    "jac": ["--format", "--link", "--q"],
+    "id": ["--format", "--gravity", "--q", "--qd", "--qdd"],
+    "fd": ["--format", "--gravity", "--q", "--qd", "--tau"],
+    "ik": ["--format", "--link", "--max-iters", "--q0", "--seed", "--target"],
+    "gen-data": ["--format", "--gravity", "--n", "--noise-std", "--out", "--seed"],
+    "sysid": ["--data", "--epochs", "--format", "--gravity", "--learn", "--seed"],
+    "check": ["--format", "--seed"],
+}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {name: sorted(opt for action in parser._actions for opt in action.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, parser in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["fk", "six_dof_arm", "--link", "tool", "--gravity", "abc"],
+    ["check", "pendulum", "--gravity", "0,0,0"],
+    ["id", "pendulum", "--seed", "1"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], fx(argv[1]), *argv[2:])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+VECTOR_FLAGS = {"fk": ("--q",), "jac": ("--q",), "id": ("--q", "--qd", "--qdd"),
+                "fd": ("--q", "--qd", "--tau")}
+# 1e200 in the first entry of the flag: the exit code and stderr line, "" for
+# an answer on stdout; q̇ = 1e200 overflows the velocity products to NaN
+HUGE_ENTRY = {("id", "--qd"): (1, "error: non-finite joint torques [nan, nan, nan, nan, "
+                                  "nan, nan]; check link inertias and the state"),
+              ("fd", "--qd"): (1, "error: non-finite joint accelerations [nan, nan, nan, "
+                                  "nan, nan, nan]; check link inertias and the state")}
+
+
+def _refuse_nonfinite(name):
+    raise AssertionError(f"non-finite {name} in the JSON output")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e200"])
+@pytest.mark.parametrize("command, flag",
+                         [(c, f) for c, flags in VECTOR_FLAGS.items() for f in flags])
+def test_vector_flags_and_results_must_be_finite(capsys, command, flag, value):
+    text = ",".join([value] + ["0"] * 5)
+    link = ["--link", "tool"] if command in ("fk", "jac") else []
+    code, out, err = run_cli(capsys, command, fx("six_dof_arm"), f"{flag}={text}", *link,
+                             "--format", "json")
+    if value == "1e200":
+        want_code, want_err = HUGE_ENTRY.get((command, flag), (0, ""))
+    else:
+        want_code, want_err = 2, f"error: {flag}: values must be finite, got {text!r}"
+    assert (code, err) == (want_code, want_err and want_err + "\n")
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_nonfinite)
+    else:
+        assert out == ""
+
+
+def test_fk_and_jac_that_overflow_exit_1(capsys, tmp_path):
+    # a revolute joint carrying two prismatic ones: 1e308 + 1e308 is inf
+    inertial = (1.0, (0, 0, 0), (0, 0, 0), (0.1, 0.0, 0.0, 0.1, 0.0, 0.1))
+    links = [("base", None), ("l1", inertial), ("l2", inertial), ("l3", inertial)]
+    joints = [("j1", "revolute", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
+              ("j2", "prismatic", "l1", "l2", (0, 0, 0), (0, 0, 0), (1, 0, 0)),
+              ("j3", "prismatic", "l2", "l3", (0, 0, 0), (0, 0, 0), (1, 0, 0))]
+    path = tmp_path / "slider.urdf"
+    path.write_text(urdf_text("slider", links, joints))
+    for command, what in (("fk", "link pose"), ("jac", "Jacobian")):
+        code, out, err = run_cli(capsys, command, str(path), "--link", "l3",
+                                 "--q", "0,1e308,1e308")
+        assert (code, out) == (1, ""), command
+        assert err.startswith(f"error: non-finite {what} [") and err.endswith(
+            "; check joint origins and the state\n") and err.count("\n") == 1, err
+
+
 # argv (fixture names stand for their paths, {tmp} for a scratch directory
 # holding bad.jsonl, empty.jsonl and a 20-record pendulum dataset), then the
 # exit code and the one stderr line
@@ -459,14 +544,21 @@ ERROR_CASES = {
                          "--target", "0.1,0.1,0"], 2,
                         "error: unknown link 'ghost'"),
     "ik_nan_target": (["ik", "six_dof_arm", "--link", "tool", "--target", "nan,0.1,0.4"],
-                      2, "error: target position must be finite"),
+                      2, "error: --target: values must be finite, got 'nan,0.1,0.4'"),
     "ik_nan_q0": (["ik", "six_dof_arm", "--link", "tool", "--target", "0.3,0.1,0.4",
-                   "--q0", "nan,0,0,0,0,0"], 2, "error: q0 must be finite"),
+                   "--q0", "nan,0,0,0,0,0"], 2,
+                  "error: --q0: values must be finite, got 'nan,0,0,0,0,0'"),
     "ik_negative_max_iters": (["ik", "six_dof_arm", "--link", "tool", "--target",
                                "0.3,0.1,0.4", "--max-iters", "-3"], 2,
                               "error: max_iters must be >= 0"),
     "gen_data_no_records": (["gen-data", "pendulum", "--n", "0", "--out", "{tmp}/x.jsonl"],
                             2, "error: n_samples must be >= 1"),
+    "gen_data_negative_noise": (["gen-data", "pendulum", "--n", "5", "--noise-std=-1",
+                                 "--out", "{tmp}/x.jsonl"], 2,
+                                "error: noise_std must be finite and >= 0, got -1.0"),
+    "gen_data_nan_noise": (["gen-data", "pendulum", "--n", "5", "--noise-std", "nan",
+                            "--out", "{tmp}/x.jsonl"], 2,
+                           "error: noise_std must be finite and >= 0, got nan"),
     "sysid_malformed_data": (["sysid", "pendulum", "--data", "{tmp}/bad.jsonl",
                               "--learn", "bob:mass"], 2,
                              "error: {tmp}/bad.jsonl:1: bad JSON: Expecting ',' "

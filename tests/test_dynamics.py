@@ -483,7 +483,7 @@ def test_rnea_gradient_matches_finite_difference(two_link):
         out = rnea(two_link, xs[:n], xs[n:2 * n], xs[2 * n:])
         return out[0] + 0.5 * out[1]
 
-    assert ad.check_gradient(f, list(x0), step=1e-6) < 1e-7
+    assert ad.check_gradient(f, list(x0)) < 1e-7
 
 
 def test_aba_gradient_matches_finite_difference(two_link):
@@ -496,7 +496,7 @@ def test_aba_gradient_matches_finite_difference(two_link):
         out = aba(two_link, xs[:n], xs[n:2 * n], xs[2 * n:])
         return out[0] - out[1]
 
-    assert ad.check_gradient(f, list(x0), step=1e-6) < 1e-6
+    assert ad.check_gradient(f, list(x0)) < 1e-6
 
 
 def test_mass_matrix_entry_gradient(six_dof):
@@ -507,7 +507,7 @@ def test_mass_matrix_entry_gradient(six_dof):
         M = mass_matrix(six_dof, xs)
         return M[0][3] + M[2][2]
 
-    assert ad.check_gradient(f, list(q), step=1e-6) < 1e-6
+    assert ad.check_gradient(f, list(q)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -572,19 +572,13 @@ def test_simulate_torque_fn_is_applied(pendulum):
     np.testing.assert_allclose(traj[-1][1], [0.3], atol=1e-10)
 
 
-def test_simulate_semi_implicit_euler_runs(pendulum):
-    traj = simulate(pendulum, [0.5], [0.0], None, 1e-3, 100,
-                    integrator="semi-implicit-euler")
-    assert len(traj) == 101
-    assert np.all(np.isfinite(traj[-1][1]))
-
-
 def test_simulate_rejects_bad_arguments(pendulum):
     with pytest.raises(ValueError):
         simulate(pendulum, [0.0], [0.0], None, -1e-3, 10)
     with pytest.raises(ValueError):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 0)
-    with pytest.raises(ValueError):
+    # RK4 is the only integrator
+    with pytest.raises(TypeError, match="unexpected keyword argument 'integrator'"):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 10, integrator="euler")
 
 
@@ -596,9 +590,9 @@ def _assert_same_bytes(traj, want):
             assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
-def _reference_rollout(model, q, qd, torque_fn, dt, steps, integrator, gravity=None):
-    """Fixed-step rollout calling ``torque_fn`` and ``aba`` at every stage,
-    RK4's first one included."""
+def _reference_rollout(model, q, qd, torque_fn, dt, steps, gravity=None):
+    """Fixed-step RK4 rollout calling ``torque_fn`` and ``aba`` at every
+    stage, the first one included."""
     def accel(t, q, qd):
         return np.array(aba(model, list(q), list(qd), list(torque_fn(t, q, qd)),
                             gravity=gravity))
@@ -607,25 +601,20 @@ def _reference_rollout(model, q, qd, torque_fn, dt, steps, integrator, gravity=N
     traj = [(0.0, q, qd, accel(0.0, q, qd))]
     t = 0.0
     for _ in range(steps):
-        if integrator == "semi-implicit-euler":
-            qd = qd + dt * accel(t, q, qd)
-            q = q + dt * qd
-        else:
-            k1q, k1v = qd, accel(t, q, qd)
-            k2q, k2v = qd + 0.5 * dt * k1v, accel(t + 0.5 * dt, q + 0.5 * dt * k1q,
-                                                  qd + 0.5 * dt * k1v)
-            k3q, k3v = qd + 0.5 * dt * k2v, accel(t + 0.5 * dt, q + 0.5 * dt * k2q,
-                                                  qd + 0.5 * dt * k2v)
-            k4q, k4v = qd + dt * k3v, accel(t + dt, q + dt * k3q, qd + dt * k3v)
-            q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        k1q, k1v = qd, accel(t, q, qd)
+        k2q, k2v = qd + 0.5 * dt * k1v, accel(t + 0.5 * dt, q + 0.5 * dt * k1q,
+                                              qd + 0.5 * dt * k1v)
+        k3q, k3v = qd + 0.5 * dt * k2v, accel(t + 0.5 * dt, q + 0.5 * dt * k2q,
+                                              qd + 0.5 * dt * k2v)
+        k4q, k4v = qd + dt * k3v, accel(t + dt, q + dt * k3q, qd + dt * k3v)
+        q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t += dt
         traj.append((t, q, qd, accel(t, q, qd)))
     return traj
 
 
-@pytest.mark.parametrize("integrator,stages", [("rk4", 4), ("semi-implicit-euler", 1)])
-def test_simulate_evaluates_each_stage_once(six_dof, integrator, stages):
+def test_simulate_evaluates_each_stage_once(six_dof):
     calls = [0]
 
     def damping(t, q, qd):
@@ -634,23 +623,20 @@ def test_simulate_evaluates_each_stage_once(six_dof, integrator, stages):
 
     q0, qd0 = np.linspace(-0.4, 0.5, 6), np.linspace(0.8, -0.3, 6)
     steps = 25
-    traj = simulate(six_dof, q0, qd0, damping, 2e-3, steps, integrator=integrator)
-    assert calls[0] == 1 + stages * steps
-    _assert_same_bytes(traj, _reference_rollout(six_dof, q0, qd0, damping, 2e-3, steps,
-                                                integrator))
+    traj = simulate(six_dof, q0, qd0, damping, 2e-3, steps)
+    assert calls[0] == 1 + 4 * steps
+    _assert_same_bytes(traj, _reference_rollout(six_dof, q0, qd0, damping, 2e-3, steps))
 
 
-@pytest.mark.parametrize("integrator", ["rk4", "semi-implicit-euler"])
 @pytest.mark.parametrize("name", ["six_dof_arm", "two_link_planar"])
-def test_passive_rollout_equals_reference_bytes(name, integrator):
+def test_passive_rollout_equals_reference_bytes(name):
     # the path of the energy_drift check: no torque_fn, no gravity
     model = rd.load_model(rd.fixture_path(name))
     n, steps = model.n, 40
     q0, qd0 = np.linspace(-0.4, 0.5, n), np.linspace(0.9, 0.5, n)
-    traj = simulate(model, q0, qd0, None, 1e-3, steps, gravity=NO_GRAVITY,
-                    integrator=integrator)
+    traj = simulate(model, q0, qd0, None, 1e-3, steps, gravity=NO_GRAVITY)
     _assert_same_bytes(traj, _reference_rollout(model, q0, qd0, lambda t, q, qd: np.zeros(n),
-                                                1e-3, steps, integrator, gravity=NO_GRAVITY))
+                                                1e-3, steps, gravity=NO_GRAVITY))
     # every array is fresh: none is a view of another, or of the caller's input
     arrays = [a for sample in traj for a in sample[1:]]
     assert all(a.base is None for a in arrays)

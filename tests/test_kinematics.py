@@ -265,10 +265,10 @@ def test_ik_full_pose_reachable(two_link):
                                atol=1e-4)
 
 
-def test_ik_position_only_flag_ignores_rotation(two_link):
+def test_ik_position_of_a_pose_target_ignores_rotation(two_link):
+    # position-only IK of a pose is IK of its position: a Vec3 target
     target = forward_kinematics(two_link, [0.9, -0.4])["tool"]
-    res = inverse_kinematics(two_link, target, "tool", q0=[0.2, 0.2],
-                             position_only=True)
+    res = inverse_kinematics(two_link, target.position, "tool", q0=[0.2, 0.2])
     assert res.converged
 
 
@@ -288,47 +288,47 @@ def test_ik_wrong_q0_length(two_link):
         inverse_kinematics(two_link, Vec3(1, 1, 0), "tool", q0=[0.0])
 
 
-# keyword arguments that replace a valid call's, and the ValueError they raise
+# keyword arguments that replace a valid call's, and the error they raise: a
+# ValueError, or a TypeError for the step size and tolerances, which are constants
 IK_BAD_INPUT = {
-    "nan_target_position": ({"target": Vec3(math.nan, 0.1, 0.4)},
+    "nan_target_position": ({"target": Vec3(math.nan, 0.1, 0.4)}, ValueError,
                             "target position must be finite"),
-    "inf_target_position": ({"target": Vec3(0.5, math.inf, 0.0)},
+    "inf_target_position": ({"target": Vec3(0.5, math.inf, 0.0)}, ValueError,
                             "target position must be finite"),
     "nan_target_rotation": ({"target": Pose(Mat33(1.0, 0.0, 0.0, 0.0, math.nan, 0.0,
                                                   0.0, 0.0, 1.0), Vec3(1.0, 1.0, 0.0))},
-                            "target rotation must be finite"),
-    "nan_q0": ({"q0": [math.nan, 0.1]}, "q0 must be finite"),
-    "negative_max_iters": ({"max_iters": -3}, "max_iters must be >= 0"),
-    "zero_step_size": ({"step_size": 0.0}, "step_size must be positive and finite"),
-    "inf_step_size": ({"step_size": math.inf}, "step_size must be positive and finite"),
-    "negative_pos_tolerance": ({"pos_tolerance": -1e-5},
-                               "pos_tolerance must be positive and finite"),
-    "nan_rot_tolerance": ({"rot_tolerance": math.nan},
-                          "rot_tolerance must be positive and finite"),
+                            ValueError, "target rotation must be finite"),
+    "nan_q0": ({"q0": [math.nan, 0.1]}, ValueError, "q0 must be finite"),
+    "negative_max_iters": ({"max_iters": -3}, ValueError, "max_iters must be >= 0"),
+    "zero_step_size": ({"step_size": 0.0}, TypeError,
+                       "unexpected keyword argument 'step_size'"),
+    "inf_step_size": ({"step_size": math.inf}, TypeError,
+                      "unexpected keyword argument 'step_size'"),
+    "negative_pos_tolerance": ({"pos_tolerance": -1e-5}, TypeError,
+                               "unexpected keyword argument 'pos_tolerance'"),
+    "nan_rot_tolerance": ({"rot_tolerance": math.nan}, TypeError,
+                          "unexpected keyword argument 'rot_tolerance'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(IK_BAD_INPUT))
 def test_ik_rejects_input_it_cannot_honour_before_any_work(two_link, monkeypatch, case):
-    kwargs, message = IK_BAD_INPUT[case]
+    kwargs, error, message = IK_BAD_INPUT[case]
 
     def no_work(*args):
         raise AssertionError("the pose loss was evaluated")
 
     monkeypatch.setattr(kinematics, "_pose_loss", no_work)
     args = {"target": Vec3(1.0, 1.0, 0.0), "q0": [0.1, 0.1], **kwargs}
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         inverse_kinematics(two_link, args.pop("target"), "tool", **args)
 
 
 def test_ik_accepts_the_edges_of_its_input_domain(two_link):
-    # no iterations at all, and a rotation that position_only leaves unused
+    # no iterations at all
     res = inverse_kinematics(two_link, Vec3(1.0, 1.0, 0.0), "tool", q0=[0.1, 0.1],
                              max_iters=0)
     assert (res.iterations, res.converged) == (0, False)
-    nan_rot = Pose(Mat33(*[math.nan] * 9), Vec3(1.0, 1.0, 0.0))
-    res = inverse_kinematics(two_link, nan_rot, "tool", q0=[0.1, 0.1], position_only=True)
-    assert res.converged
 
 
 def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
