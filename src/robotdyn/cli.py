@@ -401,7 +401,9 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        # a non-finite result is reported by the command itself, in one line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

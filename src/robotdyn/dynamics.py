@@ -369,8 +369,8 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
     The accelerations come from ``aba`` traced once per call into a
     straight-line float kernel of nested expressions
     (``tracing.trace_kernel``), with ``gravity`` and the inertias baked in as
-    constants.  Tracing and compiling take 35–60 ms on a 6-DoF arm; each call
-    then runs about 8x faster than ``aba`` on floats.  The integrator steps
+    constants.  Tracing and compiling take 20–40 ms on a 6-DoF arm; each call
+    then runs about 6–7x faster than ``aba`` on floats.  The integrator steps
     run on Python floats, with the operations of float64 arrays in the same
     order; only ``torque_fn`` sees numpy arrays, and every returned array is a
     fresh float64 copy.  The kernel folds ``x + 0``, ``x - 0``, ``x * ±1``,

@@ -35,10 +35,6 @@ _EXPRESSIONS = {"add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "div": "{}
 # not all do: a denominator, an exponent or exp's argument may not (1/inf, exp(-inf))
 _SPREADS = {"div": 1, "pow": 0, "exp": 0}
 
-# operations per compiled function: compiling a kernel in pieces keeps the
-# transient memory of the parser and compiler small
-_CHUNK = 250
-
 # operations per fused expression, outermost included: a bound on the nesting
 # the parser and compiler meet, far below their limits
 _DEPTH = 16
@@ -50,9 +46,9 @@ def _fuse(statements, pinned):
 
     ``statements`` are (target, template, operands, reads, spreads); a guard
     has target None.  Names read by a guard or ``pinned``, and names read more
-    than once, stay assigned.  Returns (target, expression, names read,
-    operations) for every statement left: each operation still runs once on
-    the same operands, so only the schedule changes.
+    than once, stay assigned.  Returns (target, expression) for every
+    statement left: each operation still runs once on the same operands, so
+    only the schedule changes.
     """
     uses, pinned = {}, set(pinned)
     for target, _, _, reads, _ in statements:
@@ -60,24 +56,21 @@ def _fuse(statements, pinned):
             uses[name] = uses.get(name, 0) + 1
         if target is None:
             pinned.update(reads)
-    inline, out = {}, []   # inline: name -> (expression, depth, names read, operations)
-    for target, template, operands, reads, _ in statements:
-        args, depth, names, size = [], 0, set(reads), 1
+    inline, out = {}, []   # inline: name -> (expression, depth)
+    for target, template, operands, _, _ in statements:
+        args, depth = [], 0
         for name in operands:
             if name in inline:
-                expr, d, sub, n = inline.pop(name)
-                size += n
+                expr, d = inline.pop(name)
                 args.append(f"({expr})")
                 depth = max(depth, d)
-                names.discard(name)
-                names.update(sub)
             else:
                 args.append(name)
         expr = template.format(*args)
         if depth + 1 < _DEPTH and uses.get(target) == 1 and target not in pinned:
-            inline[target] = (expr, depth + 1, names, size)
+            inline[target] = (expr, depth + 1)
         else:
-            out.append((target, expr, names, size))
+            out.append((target, expr))
     return out
 
 
@@ -130,12 +123,11 @@ class Trace:
         """The result of ``op`` on ``operands``: folded, or a new statement."""
         if op not in _EXPRESSIONS:
             raise TraceError(f"cannot trace operation '{op}'")
-        names = [self.name(x) for x in operands]   # every operand is checked first
-        if len(operands) == 2:
+        if len(operands) == 2:   # a plain-number operand may fold the operation
             x, y = operands
-            if op == "sub" and not isinstance(x, Traced) and x == 0:
+            if op == "sub" and isinstance(x, _REAL) and x == 0:
                 return -y
-            if op in ("add", "sub", "mul", "div") and not isinstance(y, Traced):
+            if op in ("add", "sub", "mul", "div") and isinstance(y, _REAL):
                 if y == 0 and op in ("add", "sub"):
                     return x
                 if y == 0 and op == "mul":
@@ -145,6 +137,7 @@ class Trace:
                     return x
                 if y == -1 and op in ("mul", "div"):
                     return -x
+        names = [self.name(x) for x in operands]   # raises for a foreign operand
         out = self.scalar()
         reads = tuple(n for x, n in zip(operands, names) if isinstance(x, Traced))
         spreads = tuple(n for x, n in zip(operands[:_SPREADS.get(op, 2)], names)
@@ -164,8 +157,7 @@ class Trace:
         operation still runs once on the same operands, and only their
         schedule changes.  It may change which error a bad input raises
         first, but any error, like a guard, makes the kernel return None.
-        The statements are then compiled in functions of about ``_CHUNK``
-        operations each.
+        The statements left are compiled as the body of one function.
         """
         out_names = [self.name(y) for y in outputs]
         traced = [y for y in outputs if isinstance(y, Traced)]
@@ -191,55 +183,20 @@ class Trace:
                 kept.append(statement)
                 live.update(statement[3])
         kept.reverse()
-        assigned = _fuse(kept, reads)
-
-        # chunks of about _CHUNK operations; last to first, each takes the
-        # names it and the chunks after it read
-        chunks, size = [[]], 0
-        for statement in assigned:
-            if size >= _CHUNK:
-                chunks.append([])
-                size = 0
-            chunks[-1].append(statement)
-            size += statement[3]
-        params, need = [], reads
-        for chunk in reversed(chunks):
-            need = set(need)
-            for target, _, names, _ in reversed(chunk):
-                need.discard(target)
-                need.update(names)
-            params.append(sorted(need))
-        params.reverse()
 
         namespace = dict(self.constants, isfinite=math.isfinite, _Bail=_Bail,
                          **{name: f for name, f, _ in _ELEMENTARY})
-        for k, chunk in enumerate(chunks):
-            lines = [f"def _k{k}({', '.join(params[k])}):"]
-            for target, expr, _, _ in chunk:
-                lines.append(f"    if {expr}: raise _Bail" if target is None
-                             else f"    {target} = {expr}")
-            if k + 1 < len(chunks):
-                lines.append(f"    return ({', '.join(params[k + 1])},)")
-            else:
-                lines += ["    " + line for line in tail]
-            exec(compile("\n".join(lines), f"<kernel chunk {k}>", "exec"), namespace)
-        call = f"_k0({', '.join(params[0])})"
-        for k in range(1, len(chunks)):
-            call = f"_k{k}(*{call})"
-        # the chunks are bound as defaults and leave the namespace, so no
-        # reference cycle keeps a kernel alive after its last use
         args = [f"a{i}" for i in range(len(inputs))]
-        lines = [f"def kernel({', '.join(args + [f'_k{k}=_k{k}' for k in range(len(chunks))])}):",
-                 "    try:"]
+        lines = [f"def kernel({', '.join(args)}):", "    try:"]
         lines += [f"        {', '.join(x.name for x in xs)}, = {a}"
                   for a, xs in zip(args, inputs) if xs]
+        lines += [f"        if {expr}: raise _Bail" if target is None
+                  else f"        {target} = {expr}" for target, expr in _fuse(kept, reads)]
+        lines += ["        " + line for line in tail]
         # a guard, a float operation or a malformed input raised: the traced
         # function, run on the plain floats, decides what that means
-        lines += [f"        return {call}", "    except (ArithmeticError, ValueError, TypeError):",
-                  "        return None"]
+        lines += ["    except (ArithmeticError, ValueError, TypeError):", "        return None"]
         exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
-        for k in range(len(chunks)):
-            del namespace[f"_k{k}"]
         return namespace.pop("kernel")
 
 

@@ -483,9 +483,9 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
 
 
 VECTOR_FLAGS = {"fk": ("--q",), "jac": ("--q",), "id": ("--q", "--qd", "--qdd"),
-                "fd": ("--q", "--qd", "--tau")}
-# 1e200 in the first entry of the flag: the exit code and stderr line, "" for
-# an answer on stdout; q̇ = 1e200 overflows the velocity products to NaN
+                "fd": ("--q", "--qd", "--tau"), "gen-data": ("--gravity",)}
+# a huge first entry of the flag: the exit code and stderr line, "" for an
+# answer on stdout; q̇ of 1e200 or more overflows the velocity products to NaN
 HUGE_ENTRY = {("id", "--qd"): (1, "error: non-finite joint torques [nan, nan, nan, nan, "
                                   "nan, nan]; check link inertias and the state"),
               ("fd", "--qd"): (1, "error: non-finite joint accelerations [nan, nan, nan, "
@@ -496,21 +496,35 @@ def _refuse_nonfinite(name):
     raise AssertionError(f"non-finite {name} in the JSON output")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e200"])
+# ``ik`` is left out: an unreachable target such as 1e300 is answered with
+# "residual": Infinity and exit 0 (ROADMAP item 8)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e200", "1e300", "-1e300",
+                                   pytest.param("", id="empty"), "wrong_count"])
 @pytest.mark.parametrize("command, flag",
                          [(c, f) for c, flags in VECTOR_FLAGS.items() for f in flags])
-def test_vector_flags_and_results_must_be_finite(capsys, command, flag, value):
-    text = ",".join([value] + ["0"] * 5)
-    link = ["--link", "tool"] if command in ("fk", "jac") else []
-    code, out, err = run_cli(capsys, command, fx("six_dof_arm"), f"{flag}={text}", *link,
+def test_vector_flags_and_results_must_be_finite(capsys, tmp_path, command, flag, value):
+    n = 3 if flag == "--gravity" else 6
+    text = {"": "", "wrong_count": ",".join(["0"] * (n - 1))}.get(
+        value, ",".join([value] + ["0"] * (n - 1)))
+    extra = {"fk": ["--link", "tool"], "jac": ["--link", "tool"],
+             "gen-data": ["--n", "3", "--out", str(tmp_path / "d.jsonl")]}.get(command, [])
+    code, out, err = run_cli(capsys, command, fx("six_dof_arm"), f"{flag}={text}", *extra,
                              "--format", "json")
-    if value == "1e200":
-        want_code, want_err = HUGE_ENTRY.get((command, flag), (0, ""))
-    else:
+    assert code in (0, 1, 2) and "Traceback" not in err and err.count("\n") == (code != 0)
+    if value in ("nan", "inf", "-inf"):
         want_code, want_err = 2, f"error: {flag}: values must be finite, got {text!r}"
+    elif value == "":
+        want_code, want_err = 2, f"error: {flag}: expected comma-separated decimals, got ''"
+    elif value == "wrong_count":
+        want_code, want_err = 2, f"error: {flag}: expected {n} values, got {n - 1}"
+    else:
+        want_code, want_err = HUGE_ENTRY.get((command, flag), (0, ""))
     assert (code, err) == (want_code, want_err and want_err + "\n")
     if code == 0:
         json.loads(out, parse_constant=_refuse_nonfinite)
+        if command == "gen-data":
+            for line in (tmp_path / "d.jsonl").read_text().splitlines():
+                json.loads(line, parse_constant=_refuse_nonfinite)
     else:
         assert out == ""
 
@@ -586,8 +600,45 @@ def test_dumps17_is_repr_exact():
     assert doc["x"] == vals
 
 
+def _robot(*argv):
+    """``robot <argv>`` in a fresh interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "robotdyn.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["check_nan", "sysid_overflow", "gen_data_overflow"])
+def test_a_non_finite_result_fails_with_one_stderr_line(capsys, tmp_path, case):
+    # numpy's overflow warnings would reach stderr ahead of the diagnostic
+    if case == "check_nan":
+        path = tmp_path / "heavy.urdf"
+        path.write_text(heavy_two_link_urdf())
+        argv, want = ["check", str(path)], (1, "failing checks: aba_rnea_roundtrip, "
+                                            "aba_vs_cholesky, gradient_vs_finite_difference, "
+                                            "energy_drift")
+    elif case == "sysid_overflow":
+        data = tmp_path / "noisy.jsonl"
+        assert run_cli(capsys, "gen-data", fx("pendulum"), "--n", "5", "--noise-std", "1e308",
+                       "--out", str(data))[0] == 0
+        argv = ["sysid", fx("pendulum"), "--data", str(data), "--learn", "bob:mass"]
+        want = (1, "error: inverse dynamics loss is not finite")
+    else:
+        argv = ["gen-data", fx("six_dof_arm"), "--n", "3", "--gravity", "1e308,1e308,1e308",
+                "--out", str(tmp_path / "g.jsonl")]
+        want = (2, "error: dataset contains non-finite values")
+    code, _, err = _robot(*argv)
+    assert (code, err) == (want[0], want[1] + "\n")
+
+
+def test_importing_robotdyn_leaves_the_tracer_and_the_cli_unloaded():
+    # ``simulate`` imports ``tracing`` on first use, so the import stays cheap
+    code = ("import sys, robotdyn; print(sorted(m for m in ('robotdyn.tracing', "
+            "'robotdyn.cli', 'argparse') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "robotdyn.cli", "info",
-                           fx("pendulum")], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "pendulum" in proc.stdout
+    code, out, _ = _robot("info", fx("pendulum"))
+    assert code == 0
+    assert "pendulum" in out
