@@ -56,13 +56,9 @@ def local_transforms(model, q):
 
 def world_transforms(model, q):
     """Per-body pose of the body frame in the base frame."""
-    local = local_transforms(model, q)
     world = []
-    for i, body in enumerate(model.bodies):
-        if body.parent < 0:
-            world.append(local[i])
-        else:
-            world.append(world[body.parent].compose(local[i]))
+    for body, X in zip(model.bodies, local_transforms(model, q)):
+        world.append(X if body.parent < 0 else world[body.parent].compose(X))
     return world
 
 
@@ -90,29 +86,43 @@ def link_jacobian(model, q, link):
     _check_q(model, q)
     frame = model.link(link)
     batch = np.broadcast_shapes(*(np.shape(ad.value(x)) for x in q))
-    return _jacobian(model, world_transforms(model, q), frame, batch)
+    return _jacobian(model, frame, _pose_and_chain(model, frame, q), batch)
 
 
-def _jacobian(model, world, frame, batch=None, X=None):
-    """``link_jacobian`` of ``frame`` from the body world poses ``world`` of a
-    float configuration or, given the ``batch`` shape, of any scalar type by
-    value.  ``X`` is the frame's pose, if it is already known."""
-    p_link = (link_transform(world, frame) if X is None else X).trans
-    J = np.zeros((6, model.n) + (batch or ()))
+def _pose_and_chain(model, frame, qs):
+    """The pose of ``frame`` and its chain as one flat list, generic over the
+    scalar type of ``qs``: p, R row by row, then the world axis and the world
+    origin of each joint that moves the frame, from its body to the base."""
+    world = world_transforms(model, qs)
+    X = link_transform(world, frame)
+    flat = sum(X.rot.rows(), X.trans.tolist())
     i = frame.body
     while i >= 0:
+        flat += world[i].rot.matvec(model.bodies[i].axis).tolist() + world[i].trans.tolist()
+        i = model.bodies[i].parent
+    return flat
+
+
+def _jacobian(model, frame, flat, batch=None):
+    """``link_jacobian`` of ``frame`` from its ``_pose_and_chain`` list ``flat``
+    at a float configuration or, given the ``batch`` shape, at any scalar type
+    by value."""
+    J = np.zeros((6, model.n) + (batch or ()))
+    p_link = Vec3(*flat[:3])
+    i, k = frame.body, 12
+    while i >= 0:
         body = model.bodies[i]
-        axis_w = world[i].rot.matvec(body.axis)
+        axis_w = Vec3(*flat[k:k + 3])
         if body.joint_type == "prismatic":
             col = MotionVector(Vec3.zero(), axis_w)
         else:
-            col = MotionVector(axis_w, axis_w.cross(p_link - world[i].trans))
+            col = MotionVector(axis_w, axis_w.cross(p_link - Vec3(*flat[k + 3:k + 6])))
         if batch is None:
             J[:, i] = col.tolist()
         else:
             for row, x in enumerate(col.tolist()):
                 J[row, i] = ad.value(x)
-        i = body.parent
+        i, k = body.parent, k + 6
     return J
 
 
@@ -128,18 +138,36 @@ _STEP = 0.1  # first step length of the gradient fallback
 
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
-    """IK loss of ``qs`` as ``(loss, position error, orientation error θ, body
-    world poses, link pose, c)``, generic over the scalar type of ``qs``.  θ is
-    the angle of ``RᵀR*`` and c its unclamped cosine; 0 and 1 if position-only."""
-    world = world_transforms(model, qs)
-    X = link_transform(world, frame)
+    """IK loss of ``qs`` as ``(loss, position error, orientation error θ, pose
+    and chain list, link pose, c)``, generic over the scalar type of ``qs``.  θ
+    is the angle of ``RᵀR*`` and c its unclamped cosine; 0 and 1 if position-only."""
+    return _pose_error(_pose_and_chain(model, frame, qs), target_pos, target_rot)
+
+
+def _pose_error(flat, target_pos, target_rot):
+    """``_pose_loss`` from the ``_pose_and_chain`` list ``flat``."""
+    X = SpatialTransform(Mat33(*flat[3:12]), Vec3(*flat[:3]))
     d = X.trans - target_pos
     pos_sq = d.dot(d)
     if target_rot is None:
-        return pos_sq, ad.sqrt(pos_sq), 0.0, world, X, 1.0
+        return pos_sq, ad.sqrt(pos_sq), 0.0, flat, X, 1.0
     c = (X.rot.T().matmat(target_rot).trace() - 1.0) * 0.5
     theta = ad.acos(ad.minimum(ad.maximum(c, -_COS_MAX), _COS_MAX))
-    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, world, X, c
+    return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, flat, X, c
+
+
+def _ik_kernel(model, frame):
+    """``_pose_and_chain`` of ``frame`` compiled by ``tracing.trace_kernel`` on
+    first use and kept on ``model``; None if the trace raised."""
+    kernels = model._ik_kernels
+    if frame.name not in kernels:
+        from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
+        try:
+            kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(model, frame, qs),
+                                               model.n)
+        except Exception:  # the generic code then runs for every evaluation
+            kernels[frame.name] = None
+    return kernels[frame.name]
 
 
 def _pose_gradient(X, c, J, target_pos, target_rot):
@@ -170,6 +198,13 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     analytic (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
     only as its test oracle.  A stall restarts from the best of five random
     in-limit configurations, and the best iterate is returned.
+
+    Each loss and Jacobian read the link pose and chain (``_pose_and_chain``)
+    from a straight-line float kernel (``tracing.trace_kernel``), traced on the
+    first solve for a (model, link), in a few ms for a 6-DoF arm, and kept on
+    the model.  Where it returns None (an output is zero or not finite, as
+    at q = 0), or if the trace raised, ``_pose_loss`` runs instead: every
+    result is the generic code's, bit for bit.
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  A solve
     converges when the position error is below ``POS_TOLERANCE`` and, for a
@@ -204,8 +239,14 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     step = _STEP
     restarts = backtracks = stagnant = 0
 
+    kernel = _ik_kernel(model, frame)
+
     def evaluate(qv):
-        return _pose_loss(model, frame, qv.tolist(), target_pos, target_rot)
+        qs = qv.tolist()
+        flat = None if kernel is None else kernel(qs)
+        if flat is None:   # the kernel cannot vouch for its result
+            return _pose_loss(model, frame, qs, target_pos, target_rot)
+        return _pose_error(flat, target_pos, target_rot)
 
     def converged(ev):
         return ev[1] < POS_TOLERANCE and (target_rot is None or ev[2] < ROT_TOLERANCE)
@@ -243,8 +284,8 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             ev = evaluate(q)
             perturbed = True
             continue
-        # the world and link poses of the iterate's loss feed its Jacobian and gradient
-        J = _jacobian(model, ev[3], frame, X=ev[4])
+        # the pose and chain of the iterate's loss feed its Jacobian and gradient
+        J = _jacobian(model, frame, ev[3])
         grad = _pose_gradient(ev[4], ev[5], J, target_pos, target_rot)
         found = search(q, ev, newton_direction(J, grad), 1.0)
         if found is None:

@@ -7,8 +7,9 @@ and records every float operation with its operands into a ``Trace``.
 compiles the record into one straight-line Python function that runs on
 plain floats.
 
-``dynamics.simulate`` imports this module when it first traces ``aba``, so
-importing robotdyn does not compile it.
+``dynamics.simulate`` imports this module when it first traces ``aba``, and
+``kinematics.inverse_kinematics`` when it first traces a link's pose and
+Jacobian chain, so importing robotdyn does not compile it.
 """
 
 from __future__ import annotations
@@ -186,6 +187,7 @@ class Trace:
 
         namespace = dict(self.constants, isfinite=math.isfinite, _Bail=_Bail,
                          **{name: f for name, f, _ in _ELEMENTARY})
+        namespace.update(sin=math.sin, cos=math.cos)  # floats only: skip the type dispatch
         args = [f"a{i}" for i in range(len(inputs))]
         lines = [f"def kernel({', '.join(args)}):", "    try:"]
         lines += [f"        {', '.join(x.name for x in xs)}, = {a}"

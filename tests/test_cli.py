@@ -482,14 +482,16 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, argv):
     assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
-VECTOR_FLAGS = {"fk": ("--q",), "jac": ("--q",), "id": ("--q", "--qd", "--qdd"),
-                "fd": ("--q", "--qd", "--tau"), "gen-data": ("--gravity",)}
+VECTOR_FLAGS = {"fk": ("--q",), "jac": ("--q",), "id": ("--q", "--qd", "--qdd", "--gravity"),
+                "fd": ("--q", "--qd", "--tau", "--gravity"), "gen-data": ("--gravity",),
+                "sysid": ("--gravity",)}
 # a huge first entry of the flag: the exit code and stderr line, "" for an
 # answer on stdout; q̇ of 1e200 or more overflows the velocity products to NaN
 HUGE_ENTRY = {("id", "--qd"): (1, "error: non-finite joint torques [nan, nan, nan, nan, "
                                   "nan, nan]; check link inertias and the state"),
               ("fd", "--qd"): (1, "error: non-finite joint accelerations [nan, nan, nan, "
-                                  "nan, nan, nan]; check link inertias and the state")}
+                                  "nan, nan, nan]; check link inertias and the state"),
+              ("sysid", "--gravity"): (1, "error: inverse dynamics loss is not finite")}
 
 
 def _refuse_nonfinite(name):
@@ -507,7 +509,12 @@ def test_vector_flags_and_results_must_be_finite(capsys, tmp_path, command, flag
     text = {"": "", "wrong_count": ",".join(["0"] * (n - 1))}.get(
         value, ",".join([value] + ["0"] * (n - 1)))
     extra = {"fk": ["--link", "tool"], "jac": ["--link", "tool"],
-             "gen-data": ["--n", "3", "--out", str(tmp_path / "d.jsonl")]}.get(command, [])
+             "gen-data": ["--n", "3", "--out", str(tmp_path / "d.jsonl")],
+             "sysid": ["--data", str(tmp_path / "s.jsonl"), "--learn", "link1:mass"]
+             }.get(command, [])
+    if command == "sysid":
+        assert run_cli(capsys, "gen-data", fx("six_dof_arm"), "--n", "3", "--out",
+                       str(tmp_path / "s.jsonl"))[0] == 0
     code, out, err = run_cli(capsys, command, fx("six_dof_arm"), f"{flag}={text}", *extra,
                              "--format", "json")
     assert code in (0, 1, 2) and "Traceback" not in err and err.count("\n") == (code != 0)

@@ -7,19 +7,19 @@ import pytest
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
-from robotdyn import kinematics
+from robotdyn import kinematics, tracing
 from robotdyn.dynamics import aba
 from robotdyn.kinematics import (
     _COS_MAX,
     Pose,
     _jacobian,
+    _pose_and_chain,
     _pose_gradient,
     _pose_loss,
     forward_kinematics,
     inverse_kinematics,
     link_jacobian,
     local_transforms,
-    world_transforms,
 )
 from robotdyn.spatial import Mat33, SpatialTransform, Vec3, rot_axis_angle
 from robotdyn.tracing import trace_kernel
@@ -161,7 +161,7 @@ def ik_gradients(model, link, q, target_pos, target_rot):
     the pose loss."""
     frame = model.link(link)
     ev = _pose_loss(model, frame, list(q), target_pos, target_rot)
-    g = _pose_gradient(ev[4], ev[5], _jacobian(model, ev[3], frame), target_pos, target_rot)
+    g = _pose_gradient(ev[4], ev[5], _jacobian(model, frame, ev[3]), target_pos, target_rot)
     g_ad = ad.gradient(lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot)[0],
                        list(q))
     return g, np.array(g_ad)
@@ -318,7 +318,12 @@ def test_ik_rejects_input_it_cannot_honour_before_any_work(two_link, monkeypatch
     def no_work(*args):
         raise AssertionError("the pose loss was evaluated")
 
+    def no_kernel(*args):
+        raise AssertionError("the IK kernel was built or called")
+
     monkeypatch.setattr(kinematics, "_pose_loss", no_work)
+    monkeypatch.setattr(kinematics, "_ik_kernel", no_kernel)
+    monkeypatch.setattr(two_link, "_ik_kernels", {"tool": no_kernel})
     args = {"target": Vec3(1.0, 1.0, 0.0), "q0": [0.1, 0.1], **kwargs}
     with pytest.raises(error, match=message):
         inverse_kinematics(two_link, args.pop("target"), "tool", **args)
@@ -333,7 +338,10 @@ def test_ik_accepts_the_edges_of_its_input_domain(two_link):
 
 def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
         six_dof, monkeypatch):
-    calls = dict.fromkeys(("_pose_loss", "link_transform", "_jacobian"), 0)
+    # each loss takes its link pose from one evaluation: a kernel result, or
+    # else one _pose_loss, which composes it with one link_transform
+    calls = dict.fromkeys(("_pose_error", "_pose_loss", "link_transform", "_jacobian"), 0)
+    kernel, results = kinematics._ik_kernel(six_dof, six_dof.link("tool")), []
 
     def counted(name):
         fn = getattr(kinematics, name)
@@ -343,13 +351,49 @@ def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_kernel(qs):
+        results.append(kernel(qs))
+        return results[-1]
+
     target = forward_kinematics(six_dof, [0.4, -0.8, 1.1, 0.3, -0.6, 0.9])["tool"]
     for name in calls:
         monkeypatch.setattr(kinematics, name, counted(name))
+    monkeypatch.setattr(kinematics, "_ik_kernel", lambda model, frame: counted_kernel)
     res = inverse_kinematics(six_dof, target, "tool", q0=[0.0] * 6, seed=0)
     assert res.converged and res.restarts == 0 and res.iterations >= 3
     assert calls["_jacobian"] == res.iterations
-    assert calls["link_transform"] == calls["_pose_loss"] > res.iterations
+    hits = sum(out is not None for out in results)
+    assert calls["_pose_error"] == len(results) == hits + calls["_pose_loss"]
+    # the start q0 = 0 has exact zeros in its pose, so the generic code runs there
+    assert calls["link_transform"] == calls["_pose_loss"] >= 1
+    assert hits >= res.iterations
+
+
+def test_ik_with_its_kernel_equals_ik_without_it(monkeypatch):
+    # the same solves on a model whose kernel compiled and on one whose trace
+    # raised: every IKResult field is the same, bit for bit
+    models = [rd.load_model(rd.fixture_path("six_dof_arm")) for _ in range(2)]
+    lo, hi = models[0].joint_limits()
+    rng = np.random.default_rng(21)
+    targets = [forward_kinematics(models[0], list(rng.uniform(lo, hi)))["tool"]
+               for _ in range(100)]
+    targets = [t if j % 3 == 0 else t.position for j, t in enumerate(targets)]
+
+    def solve(model):
+        return [[r.q.tobytes(), r.converged, type(r.residual), r.residual.hex(),
+                 r.iterations, r.restarts, r.backtracks]
+                for j, t in enumerate(targets)
+                for r in [inverse_kinematics(model, t, "tool", q0=[0.0] * 6, seed=j)]]
+
+    def no_trace(*args):
+        raise RuntimeError("the trace failed")
+
+    got = solve(models[0])
+    monkeypatch.setattr(tracing, "trace_kernel", no_trace)
+    want = solve(models[1])
+    assert models[0]._ik_kernels["tool"] is not None
+    assert models[1]._ik_kernels == {"tool": None}
+    assert got == want
 
 
 @pytest.mark.parametrize("max_iters", [1, 3])
@@ -484,8 +528,8 @@ def test_link_jacobian_of_var_and_dual_q_equals_its_float_result(name):
     model = rd.load_model(rd.fixture_path(name))
     q = np.random.default_rng(17).uniform(-np.pi, np.pi, model.n).tolist()
     want = link_jacobian(model, q, "tool")
-    world = world_transforms(model, q)
-    assert _jacobian(model, world, model.link("tool")).tobytes() == want.tobytes()
+    frame = model.link("tool")
+    assert _jacobian(model, frame, _pose_and_chain(model, frame, q)).tobytes() == want.tobytes()
     tape = ad.Tape()
     for qs in ([tape.var(x) for x in q], ad.Dual.seed(q)):
         assert link_jacobian(model, qs, "tool").tobytes() == want.tobytes()

@@ -1,6 +1,6 @@
 """Property tests on random valid URDF trees: the cross-algorithm oracles of
-``robot check``, the straight-line ``aba`` kernel against the generic
-``aba``, an independent forward-kinematics oracle, the analytic IK
+``robot check``, the straight-line ``aba`` and IK pose kernels against the
+generic code, an independent forward-kinematics oracle, the analytic IK
 gradient against reverse-mode AD, and the inertial regressor (and the
 identification gradient built on it) against batched ``rnea``.
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robotdyn as rd
-from robotdyn import learn, selfcheck
+from robotdyn import kinematics, learn, selfcheck
 from robotdyn.dynamics import aba
 from robotdyn.tracing import trace_kernel
 from conftest import random_state, urdf_text
@@ -131,6 +131,27 @@ def test_random_tree_aba_kernel_equals_generic(tree):
         assert got is not None   # finite, nonzero and no guard held
         assert got == want
         assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees())
+def test_random_tree_ik_pose_kernel_equals_generic(tree):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    rng = np.random.default_rng(0)
+    states = [random_state(model, rng)[0].tolist() for _ in range(5)]
+    # at zero, and with some joints at ±0, outputs may be zero: the kernel may refuse
+    edges = [[0.0] * model.n, [x if k % 2 else -0.0 for k, x in enumerate(states[0])]]
+    for link in model.link_names():   # every link: the base, branches, fixed links
+        frame = model.link(link)
+        kernel = kinematics._ik_kernel(model, frame)
+        for q in states + edges:
+            got, want = kernel(q), kinematics._pose_and_chain(model, frame, q)
+            assert got is not None or q in edges   # finite, nonzero and no guard held
+            if got is not None:
+                assert got == want
+                assert [math.copysign(1.0, x) for x in got] == \
+                    [math.copysign(1.0, x) for x in want]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
