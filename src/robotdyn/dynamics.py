@@ -8,8 +8,9 @@ route to forward dynamics and a fixed-step RK4 check integrator.
 
 Gravity is folded in as a fictitious base acceleration of -g, so a single
 code path serves gravity on and off.  All functions are pure and generic
-over the scalar type of their state/inertia arguments (floats, numpy
-batches, autodiff scalars).
+over the scalar type of their state arguments and of the model's inertias
+(floats, numpy batches, autodiff scalars); other inertias reach them as
+``model.with_inertias(...)``.
 """
 
 from __future__ import annotations
@@ -42,20 +43,14 @@ def _as_gravity(gravity):
     return Vec3.fromlist(list(gravity))
 
 
-def _inertias(model, inertias, **state):
-    """``inertias`` (the model's own if None), after checking that the model
-    has dynamics and that every state vector and the inertias have length n."""
+def _inertias(model, **state):
+    """The model's per-body inertias, after checking that it has dynamics and
+    that every state vector has length n."""
     for name, v in state.items():
         _check_len(name, v, model.n)
     if model.kinematics_only:
         raise DynamicsError("dynamics unavailable: model was built kinematics_only")
-    if inertias is None:
-        inertias = model.inertias()
-    _check_len("inertias", inertias, model.n)
-    for body, I in zip(model.bodies, inertias):
-        if I is None:
-            raise DynamicsError(f"dynamics unavailable: link '{body.name}' has no inertia")
-    return inertias
+    return model.inertias()
 
 
 def _check_len(name, v, n):
@@ -86,7 +81,7 @@ def _motion_sweep(model, xs, qd, qdd, g):
         yield i, v[i], a[i]
 
 
-def rnea(model, q, qd, qdd, gravity=None, inertias=None):
+def rnea(model, q, qd, qdd, gravity=None):
     """Inverse dynamics: generalized forces for configuration (q, qd, qdd).
 
     Two sweeps: outward velocity/acceleration propagation (gravity as a
@@ -94,7 +89,7 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
     joint axes.  Returns a list of n joint torques/forces.
     """
     n = model.n
-    inertias = _inertias(model, inertias, q=q, qd=qd, qdd=qdd)
+    inertias = _inertias(model, q=q, qd=qd, qdd=qdd)
     g = _as_gravity(gravity)
 
     xs = local_transforms(model, q)
@@ -115,10 +110,10 @@ def rnea(model, q, qd, qdd, gravity=None, inertias=None):
 def regressor(model, q, qd, qdd, gravity=None):
     """Inverse dynamics as a linear map of the inertial parameters.
 
-    Returns Y with ``Y @ pi`` equal to ``rnea(model, q, qd, qdd, gravity,
-    inertias)`` (up to rounding), where ``pi`` stacks ``I.params()`` of every
-    body's inertia in body order (10 per body).  For a batched state of shape
-    ``batch`` the result has shape ``batch + (n, 10 n)``.
+    Returns Y with ``Y @ pi`` equal to ``rnea(model.with_inertias(inertias),
+    q, qd, qdd, gravity)`` (up to rounding), where ``pi`` stacks
+    ``I.params()`` of every body's inertia in body order (10 per body).  For a
+    batched state of shape ``batch`` the result has shape ``batch + (n, 10 n)``.
 
     One outward sweep, shared with ``rnea``.  Joint j's torque from body i's
     force f_i = I a_i + v_i x* I v_i is s_ij . f_i, where s_ij is joint j's
@@ -151,15 +146,15 @@ def regressor(model, q, qd, qdd, gravity=None):
     return Y
 
 
-def gravity_term(model, q, gravity=None, inertias=None):
+def gravity_term(model, q, gravity=None):
     """Generalized gravity forces: rnea with zero velocity and acceleration."""
     zero = [0.0] * model.n
-    return rnea(model, q, zero, zero, gravity=gravity, inertias=inertias)
+    return rnea(model, q, zero, zero, gravity=gravity)
 
 
-def bias_force(model, q, qd, gravity=None, inertias=None):
+def bias_force(model, q, qd, gravity=None):
     """Coriolis/centripetal plus gravity forces: rnea with zero acceleration."""
-    return rnea(model, q, qd, [0.0] * model.n, gravity=gravity, inertias=inertias)
+    return rnea(model, q, qd, [0.0] * model.n, gravity=gravity)
 
 
 class _ArticulatedInertia:
@@ -206,7 +201,7 @@ class _ArticulatedInertia:
         return _ArticulatedInertia(A, B, RD)
 
 
-def mass_matrix(model, q, inertias=None):
+def mass_matrix(model, q):
     """Joint-space mass matrix via the composite-rigid-body recursion.
 
     Symmetric by construction (one triangle computed, both filled).
@@ -214,7 +209,7 @@ def mass_matrix(model, q, inertias=None):
     gives the matrix of a float result.
     """
     n = model.n
-    inertias = _inertias(model, inertias, q=q)
+    inertias = _inertias(model, q=q)
 
     xs = local_transforms(model, q)
     Ic = [_ArticulatedInertia.from_rigid(I) for I in inertias]
@@ -236,10 +231,10 @@ def mass_matrix(model, q, inertias=None):
     return M
 
 
-def aba(model, q, qd, tau, gravity=None, inertias=None):
+def aba(model, q, qd, tau, gravity=None):
     """Forward dynamics via the articulated-body recursion (three sweeps)."""
     n = model.n
-    inertias = _inertias(model, inertias, q=q, qd=qd, tau=tau)
+    inertias = _inertias(model, q=q, qd=qd, tau=tau)
     g = _as_gravity(gravity)
 
     xs = local_transforms(model, q)
@@ -320,21 +315,21 @@ def _cholesky_solve(M, b, n):
     return x
 
 
-def forward_dynamics_cholesky(model, q, qd, tau, gravity=None, inertias=None):
+def forward_dynamics_cholesky(model, q, qd, tau, gravity=None):
     """Forward dynamics via M(q) qdd = tau - bias: the independent check route."""
     n = model.n
     _check_len("tau", tau, n)
-    M = mass_matrix(model, q, inertias=inertias)
-    h = bias_force(model, q, qd, gravity=gravity, inertias=inertias)
+    M = mass_matrix(model, q)
+    h = bias_force(model, q, qd, gravity=gravity)
     rhs = [tau[i] - h[i] for i in range(n)]
     return _cholesky_solve(M, rhs, n)
 
 
-def potential_energy(model, q, gravity=None, inertias=None):
+def potential_energy(model, q, gravity=None):
     """-sum_i m_i g . com_world_i over the moving bodies (zero reference at
     the base origin; mass fixed to the base is a constant and left out)."""
     from .kinematics import world_transforms
-    inertias = _inertias(model, inertias, q=q)
+    inertias = _inertias(model, q=q)
     g = _as_gravity(gravity)
     world = world_transforms(model, q)
     U = 0.0
@@ -344,16 +339,16 @@ def potential_energy(model, q, gravity=None, inertias=None):
     return U
 
 
-def total_energy(model, q, qd, gravity=None, inertias=None):
+def total_energy(model, q, qd, gravity=None):
     """Kinetic plus gravitational potential energy of the whole tree."""
     _check_len("qd", qd, model.n)
-    M = mass_matrix(model, q, inertias=inertias)
+    M = mass_matrix(model, q)
     qd = np.asarray(qd, dtype=float)
     kin = 0.5 * float(qd @ np.asarray(M) @ qd)
-    return kin + float(potential_energy(model, q, gravity=gravity, inertias=inertias))
+    return kin + float(potential_energy(model, q, gravity=gravity))
 
 
-def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
+def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None):
     """Fixed-step RK4 rollout with accelerations from the articulated-body solver.
 
     ``torque_fn(t, q, qd)`` returns the joint torque vector (may be None for
@@ -368,22 +363,23 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
 
     The accelerations come from ``aba`` traced once per call into a
     straight-line float kernel of nested expressions
-    (``tracing.trace_kernel``), with ``gravity`` and the inertias baked in as
-    constants.  Tracing and compiling take 20–40 ms on a 6-DoF arm; each call
-    then runs about 6–7x faster than ``aba`` on floats.  The integrator steps
-    run on Python floats, with the operations of float64 arrays in the same
-    order; only ``torque_fn`` sees numpy arrays, and every returned array is a
-    fresh float64 copy.  The kernel folds ``x + 0``, ``x - 0``, ``x * ±1``,
-    ``x / ±1``, ``0 - x``, ``x * 0`` and every operation on constants alone,
-    and its results equal ``aba``'s under ``==`` and in the sign of every
-    zero.  Where it cannot vouch for that, ``aba`` runs for that call instead:
-    when the singularity guard holds (``aba`` then raises its
-    ``DynamicsError``), when the float arithmetic raises, when an acceleration
-    is zero (a fold may flip the sign of a zero) or not finite, or when the
-    witness is not finite (the sum of the ``x`` of each folded ``x * 0`` whose
-    non-finite value would not reach an acceleration: ``x * 0`` is zero for
-    finite ``x`` only).  If the trace itself raises, ``aba`` runs for the
-    whole rollout, so every error and its order are those of ``aba``.
+    (``tracing.trace_kernel``), with ``gravity`` and the inertias of ``model``
+    baked in as constants (roll out other inertias on
+    ``model.with_inertias(...)``).  Tracing and compiling take 20–40 ms on a
+    6-DoF arm; each call then runs about 6–7x faster than ``aba`` on floats.
+    The integrator steps run on Python floats, with the operations of float64
+    arrays in the same order; only ``torque_fn`` sees numpy arrays, and every
+    returned array is a fresh float64 copy.  The kernel folds ``x + 0``,
+    ``x - 0``, ``x * ±1``, ``x / ±1``, ``0 - x``, ``x * 0`` and every
+    operation on constants alone, and its results equal ``aba``'s under ``==``
+    and in the sign of every zero.  Where it cannot vouch for that, ``aba``
+    runs for that call instead: when the singularity guard holds (``aba`` then
+    raises its ``DynamicsError``), when the float arithmetic raises, when an
+    acceleration is zero (a fold may flip the sign of a zero) or not finite, or
+    when the witness is not finite (the sum of the ``x`` of each folded
+    ``x * 0`` whose non-finite value would not reach an acceleration: ``x * 0``
+    is zero for finite ``x`` only).  If the trace itself raises, ``aba`` runs
+    for the whole rollout, so every error and its order are those of ``aba``.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -398,8 +394,7 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
     zeros = [0.0] * n
     from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
     try:
-        kernel = trace_kernel(lambda *state: aba(model, *state, gravity=gravity,
-                                                 inertias=inertias), n, n, n)
+        kernel = trace_kernel(lambda *state: aba(model, *state, gravity=gravity), n, n, n)
     except Exception:  # aba on floats then reports whatever made the trace fail,
         kernel = None   # at the stage and in the order it always has
 
@@ -416,7 +411,7 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None, inertias=None):
             tau = np.asarray(tau, dtype=float).tolist()
         qdd = None if kernel is None else kernel(q, qd, tau)
         if qdd is None:
-            qdd = aba(model, q, qd, tau, gravity=gravity, inertias=inertias)
+            qdd = aba(model, q, qd, tau, gravity=gravity)
         # Python floats, as a float64 array would give them back: numpy scalars
         # in gravity or the inertias make numpy scalars here
         return list(map(float, qdd))

@@ -14,7 +14,8 @@ Identification minimizes a torque-regression loss: mean squared difference
 between inverse-dynamics torques predicted with the mapped parameters and
 the recorded torques.  ``inverse_dynamics_loss`` and ``loss_gradient`` state
 it directly, one numpy-batched ``rnea`` sweep over the dataset taped by the
-reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.
+reverse-mode engine of :mod:`robotdyn.autodiff`; they are the reference.  The
+mapped inertias reach ``rnea`` as a model, ``model.with_inertias(...)``.
 ``fit`` uses that inverse dynamics is linear in each body's 10 inertial
 parameters, tau = Y(q, qd, qdd) pi (``dynamics.regressor``, which carries
 each joint's axis down to every body it moves and takes each block of Y as
@@ -325,9 +326,8 @@ def inverse_dynamics_loss(store, dataset, raw=None, gravity=None):
     """
     model = store.model
     _check_dataset(model, dataset)
-    inertias = store.inertias(raw)
-    pred = rnea(model, list(dataset.q.T), list(dataset.qd.T), list(dataset.qdd.T),
-                gravity=gravity, inertias=inertias)
+    pred = rnea(model.with_inertias(store.inertias(raw)), list(dataset.q.T),
+                list(dataset.qd.T), list(dataset.qdd.T), gravity=gravity)
     loss = 0.0
     for j in range(model.n):
         res = pred[j] - dataset.tau[:, j]

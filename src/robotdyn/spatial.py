@@ -304,10 +304,6 @@ class SpatialTransform:
         F = self.rot.matvec(f.lin)
         return ForceVector(self.rot.matvec(f.ang) + self.trans.cross(F), F)
 
-    def apply_force_inv(self, f):
-        R = self.rot
-        return ForceVector(R.tmatvec(f.ang - self.trans.cross(f.lin)), R.tmatvec(f.lin))
-
     def __repr__(self):
         return f"SpatialTransform({self.rot}, {self.trans})"
 
@@ -336,13 +332,6 @@ class SpatialInertia:
         h, I = self.com.scale(self.mass), self.rot_inertia
         return [self.mass, h.x, h.y, h.z, I.a, I.b, I.c, I.e, I.f, I.i]
 
-    @staticmethod
-    def from_params(p):
-        """Inverse of ``params`` (the mass must be nonzero)."""
-        m = p[0]
-        return SpatialInertia(m, Vec3(p[1] / m, p[2] / m, p[3] / m),
-                              Mat33(p[4], p[5], p[6], p[5], p[7], p[8], p[6], p[8], p[9]))
-
     def transform(self, X):
         """Re-express in the parent frame of ``X`` (child -> parent)."""
         R = X.rot
@@ -356,9 +345,6 @@ class SpatialInertia:
         mass = self.mass + o.mass
         h = self.com.scale(self.mass) + o.com.scale(o.mass)
         return SpatialInertia(mass, h.scale(1.0 / mass), self.rot_inertia + o.rot_inertia)
-
-    def kinetic_energy(self, v):
-        return 0.5 * v.dot(self.times_motion(v))
 
     def __repr__(self):
         return f"SpatialInertia(mass={self.mass}, com={self.com}, I={self.rot_inertia})"

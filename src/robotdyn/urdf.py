@@ -7,6 +7,7 @@ joints and mimic elements are rejected loudly.
 
 from __future__ import annotations
 
+import copy
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -368,6 +369,16 @@ class RobotModel:
         """Per-body SpatialInertia list (zero for bodies without inertial data)."""
         return [b.inertia if b.inertia is not None else SpatialInertia.zero()
                 for b in self.bodies]
+
+    def with_inertias(self, inertias):
+        """A new model of the same tree whose body ``i`` carries ``inertias[i]``
+        (of floats, numpy batches, ``Dual`` or ``Var``); this model is unchanged."""
+        if len(inertias) != self.n:
+            raise ValueError(f"inertias must have length {self.n}, got {len(inertias)}")
+        bodies = [copy.copy(b) for b in self.bodies]
+        for body, inertia in zip(bodies, inertias):
+            body.inertia = inertia
+        return RobotModel(self.name, bodies, self.links, self.kinematics_only)
 
 
 def _fold_inertial(inertial):

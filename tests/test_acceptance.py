@@ -148,13 +148,13 @@ def test_criterion_3_differentiability(capsys, all_models):
 
             def scalar(xs):
                 qs, qds, taus = xs[:n], xs[n:2 * n], xs[2 * n:3 * n]
-                inertias = _learnable_inertias(model, xs[3 * n:])
+                learnable = model.with_inertias(_learnable_inertias(model, xs[3 * n:]))
                 pose = forward_kinematics(model, qs)[link]
                 s = (wp[0] * pose.position.x + wp[1] * pose.position.y
                      + wp[2] * pose.position.z)
-                t_out = rnea(model, qs, qds, taus, inertias=inertias)
-                a_out = aba(model, qs, qds, taus, inertias=inertias)
-                M = mass_matrix(model, qs, inertias=inertias)
+                t_out = rnea(learnable, qs, qds, taus)
+                a_out = aba(learnable, qs, qds, taus)
+                M = mass_matrix(learnable, qs)
                 for j in range(n):
                     s = s + w[0][j] * t_out[j] + w[1][j] * a_out[j]
                     mu = 0.0

@@ -138,7 +138,8 @@ def assert_regressor_matches_rnea(model, q, qd, qdd, gravity=None, inertias=None
     N = len(q[0])
     assert Y.shape == (N, model.n, 10 * model.n)
     want = np.stack([np.broadcast_to(t, (N,)) for t in
-                     rnea(model, q, qd, qdd, gravity=gravity, inertias=inertias)], axis=1)
+                     rnea(model.with_inertias(inertias), q, qd, qdd, gravity=gravity)],
+                    axis=1)
     got = Y @ stacked_params(inertias)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -272,14 +273,15 @@ def test_aba_singular_inertia_reports_joint():
 def test_aba_singularity_test_is_scale_free(six_dof):
     # The arm with every mass and rotational inertia scaled by 1e-10 is as
     # regular as the original; only its torques are 1e-10 times smaller.
-    scaled = [SpatialInertia(1e-10 * I.mass, I.com, I.rot_inertia.scale(1e-10))
-              for I in six_dof.inertias()]
+    scaled = six_dof.with_inertias([SpatialInertia(1e-10 * I.mass, I.com,
+                                                   I.rot_inertia.scale(1e-10))
+                                    for I in six_dof.inertias()])
     rng = np.random.default_rng(12)
     for _ in range(10):
         q, qd, tau = random_state(six_dof, rng)
         tau = 1e-10 * tau
-        qdd = aba(six_dof, list(q), list(qd), list(tau), inertias=scaled)
-        back = np.array(rnea(six_dof, list(q), list(qd), qdd, inertias=scaled))
+        qdd = aba(scaled, list(q), list(qd), list(tau))
+        back = np.array(rnea(scaled, list(q), list(qd), qdd))
         assert np.max(np.abs(back - tau)) <= 1e-8 * np.max(np.abs(tau))
 
 
@@ -386,14 +388,56 @@ def test_inertias_argument_must_have_one_entry_per_body(two_link):
     # a per-link list (base, link1, link2, tool) is the wrong layout
     per_link = [SpatialInertia.zero()] + two_link.inertias() + [SpatialInertia.zero()]
     with pytest.raises(ValueError, match="inertias must have length 2, got 4"):
-        rnea(two_link, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], inertias=per_link)
+        two_link.with_inertias(per_link)
 
 
 def test_potential_energy_rejects_short_inertias(six_dof):
     q = [0.1] * 6
     np.testing.assert_allclose(potential_energy(six_dof, q), 22.686, atol=1e-3)
     with pytest.raises(ValueError, match="inertias must have length 6, got 1"):
-        potential_energy(six_dof, q, inertias=six_dof.inertias()[:1])
+        six_dof.with_inertias(six_dof.inertias()[:1])
+
+
+def test_with_inertias_is_a_new_model_and_leaves_the_original_untouched(six_dof):
+    before = list(zip(six_dof.bodies, six_dof.inertias()))
+    params = np.array([I.params() for I in six_dof.inertias()]).tobytes()
+    q, qd, qdd = [0.4, -0.3, 0.2, 0.5, -0.6, 0.1], [0.3] * 6, [0.2] * 6
+    tau = np.array(rnea(six_dof, q, qd, qdd))
+    heavy = six_dof.with_inertias([SpatialInertia(2.0 * I.mass, I.com,
+                                                  I.rot_inertia.scale(2.0))
+                                   for I in six_dof.inertias()])
+    assert heavy is not six_dof and heavy.n == six_dof.n
+    assert not any(a is b for a, b in zip(heavy.bodies, six_dof.bodies))
+    assert list(zip(six_dof.bodies, six_dof.inertias())) == before
+    assert np.array([I.params() for I in six_dof.inertias()]).tobytes() == params
+    assert np.array(rnea(six_dof, q, qd, qdd)).tobytes() == tau.tobytes()
+    # doubling every inertia doubles every torque exactly
+    assert np.array(rnea(heavy, q, qd, qdd)).tobytes() == (2.0 * tau).tobytes()
+
+
+def _outcome(fn, *args):
+    """The bytes of ``fn(*args)`` as a float array, or the error it raised."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except DynamicsError as exc:
+        return type(exc), str(exc)
+
+
+def _rollout(model, q, qd):
+    return [np.hstack(sample) for sample in simulate(model, q, qd, None, 0.01, 40)]
+
+
+@pytest.mark.parametrize("name", ["pendulum", "pendulum_mass2", "two_link_planar",
+                                  "six_dof_arm", "bad_inertia"])
+def test_model_with_its_own_inertias_gives_identical_dynamics(name):
+    model = rd.load_model(rd.fixture_path(name))
+    view = model.with_inertias(model.inertias())
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        q, qd, tau = (list(x) for x in random_state(model, rng, scale=3.0))
+        for fn, args in ((rnea, (q, qd, tau)), (aba, (q, qd, tau)), (mass_matrix, (q,)),
+                         (_rollout, (q, qd))):
+            assert _outcome(fn, view, *args) == _outcome(fn, model, *args), fn.__name__
 
 
 def test_potential_energy_rejects_kinematics_only_model():
@@ -452,19 +496,19 @@ def test_batched_forward_dynamics_singular_sample_names_the_joint(two_link):
     # sample 2 of 4 gives the last link no inertia at all
     scale = np.array([1.0, 1.0, 0.0, 1.0])
     *inner, last = two_link.inertias()
-    inertias = inner + [SpatialInertia(last.mass * scale, last.com,
-                                       last.rot_inertia.scale(scale))]
+    model = two_link.with_inertias(inner + [SpatialInertia(last.mass * scale, last.com,
+                                                           last.rot_inertia.scale(scale))])
     q, qd, tau = ([np.full(4, v), np.full(4, -v)] for v in (0.3, 0.5, 0.1))
     with pytest.raises(DynamicsError) as exc:
-        aba(two_link, q, qd, tau, inertias=inertias)
+        aba(model, q, qd, tau)
     assert "joint 'elbow'" in str(exc.value) and "(axis inertia 0)" in str(exc.value)
     with pytest.raises(DynamicsError, match="not positive definite"):
-        forward_dynamics_cholesky(two_link, q, qd, tau, inertias=inertias)
+        forward_dynamics_cholesky(model, q, qd, tau)
     keep = [0, 1, 3]
     ok = [SpatialInertia(last.mass * scale[keep], last.com,
                          last.rot_inertia.scale(scale[keep]))]
-    qdd = aba(two_link, [x[keep] for x in q], [x[keep] for x in qd],
-              [x[keep] for x in tau], inertias=inner + ok)
+    qdd = aba(two_link.with_inertias(inner + ok), [x[keep] for x in q],
+              [x[keep] for x in qd], [x[keep] for x in tau])
     assert np.all(np.isfinite(qdd))
 
 

@@ -54,10 +54,11 @@ def test_kernel_equals_generic_aba_on_fixtures(name, n_states):
 
 
 def test_kernel_bakes_in_the_inertias(pendulum):
-    inertias = [rd.SpatialInertia(2.0, rd.Vec3(0.0, 0.0, -1.0), rd.Mat33.diag(2.0, 2.0, 0.1))]
-    kernel = aba_kernel(pendulum, inertias=inertias)
+    heavy = pendulum.with_inertias(
+        [rd.SpatialInertia(2.0, rd.Vec3(0.0, 0.0, -1.0), rd.Mat33.diag(2.0, 2.0, 0.1))])
+    kernel = aba_kernel(heavy)
     state = ([0.4], [0.3], [0.2])
-    assert_identical(kernel(*state), aba(pendulum, *state, inertias=inertias))
+    assert_identical(kernel(*state), aba(heavy, *state))
     assert kernel(*state) != aba(pendulum, *state)
 
 

@@ -318,9 +318,6 @@ def test_apply_motion_inv_roundtrip():
     v = random_motion(rng)
     back = X.apply_motion_inv(X.apply_motion(v))
     np.testing.assert_allclose(back.tolist(), v.tolist(), atol=1e-13)
-    f = random_force(rng)
-    fback = X.apply_force_inv(X.apply_force(f))
-    np.testing.assert_allclose(fback.tolist(), f.tolist(), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +410,6 @@ def test_inertia_params_roundtrip_and_layout():
         R = np.array(I.rot_inertia.rows())
         assert p == [I.mass, h.x, h.y, h.z, R[0, 0], R[0, 1], R[0, 2], R[1, 1], R[1, 2],
                      R[2, 2]]
-        back = SpatialInertia.from_params(p)
-        np.testing.assert_allclose(back.mass, I.mass, rtol=1e-15)
-        np.testing.assert_allclose(back.com.values(), I.com.values(), rtol=1e-14)
-        assert back.rot_inertia.rows() == I.rot_inertia.rows()
 
 
 def test_times_motion_is_linear_in_params():
@@ -489,17 +482,6 @@ def test_inertia_transform_congruence_oracle():
         want = force_matrix(X) @ inertia_matrix(I) @ np.linalg.inv(
             motion_matrix(X))
         np.testing.assert_allclose(inertia_matrix(J), want, atol=1e-11)
-
-
-def test_kinetic_energy_is_frame_invariant():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        I = random_inertia(rng)
-        v = random_motion(rng)
-        X = random_transform(rng)
-        e1 = I.kinetic_energy(v)
-        e2 = I.transform(X).kinetic_energy(X.apply_motion(v))
-        np.testing.assert_allclose(e2, e1, rtol=1e-11, atol=1e-12)
 
 
 def test_parallel_axis_term_formula():
