@@ -362,27 +362,17 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None):
     constraints.
 
     The accelerations come from ``aba`` traced once per call into a
-    straight-line float kernel of nested expressions
-    (``tracing.trace_kernel``), with ``gravity`` and the inertias of ``model``
-    baked in as constants (roll out other inertias on
-    ``model.with_inertias(...)``).  Tracing and compiling take 20–40 ms on a
-    6-DoF arm; each call then runs about 6–7x faster than ``aba`` on floats.
-    The integrator steps run on Python floats, with the operations of float64
-    arrays in the same order; only ``torque_fn`` sees numpy arrays, and every
-    returned array is a fresh float64 copy.  The kernel folds ``x + 0``,
-    ``x - 0``, ``x * ±1``, ``x / ±1``, ``0 - x``, ``x * 0`` and every
-    operation on constants alone, and its results equal ``aba``'s under ``==``
-    and in the sign of every zero.  Where it cannot vouch for that, ``aba``
-    runs for that call instead: when the singularity guard holds (``aba`` then
-    raises its ``DynamicsError``), when the float arithmetic raises, when an
-    acceleration is zero (a fold may flip the sign of a zero) or not finite, or
-    when the witness is not finite (the sum of the ``x`` of each folded
-    ``x * 0`` whose non-finite value would not reach an acceleration: ``x * 0``
-    is zero for finite ``x`` only).  If the trace itself raises, ``aba`` runs
-    for the whole rollout, so every error and its order are those of ``aba``.
+    straight-line float kernel (``tracing.trace_kernel``), with ``gravity``
+    and the inertias of ``model`` baked in as constants (roll out other
+    inertias on ``model.with_inertias(...)``): every result and error is
+    ``aba``'s.  Tracing and compiling take 20–40 ms on a 6-DoF arm; each call
+    then runs about 6–7x faster than ``aba`` on floats.  The integrator steps
+    run on Python floats, with the operations of float64 arrays in the same
+    order; only ``torque_fn`` sees numpy arrays, and every returned array is
+    a fresh float64 copy.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (dt > 0.0 and isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
@@ -393,10 +383,7 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None):
     qd = np.asarray(qd0, dtype=float).tolist()
     zeros = [0.0] * n
     from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
-    try:
-        kernel = trace_kernel(lambda *state: aba(model, *state, gravity=gravity), n, n, n)
-    except Exception:  # aba on floats then reports whatever made the trace fail,
-        kernel = None   # at the stage and in the order it always has
+    accelerations = trace_kernel(lambda *state: aba(model, *state, gravity=gravity), n, n, n)
 
     def accel(t, q, qd, where):
         # the state is checked before torque_fn sees it, the torque after
@@ -409,9 +396,7 @@ def simulate(model, q0, qd0, torque_fn, dt, steps, gravity=None):
             raise NonFiniteStateError(f"non-finite {where}")
         else:
             tau = np.asarray(tau, dtype=float).tolist()
-        qdd = None if kernel is None else kernel(q, qd, tau)
-        if qdd is None:
-            qdd = aba(model, q, qd, tau, gravity=gravity)
+        qdd = accelerations(q, qd, tau)
         # Python floats, as a float64 array would give them back: numpy scalars
         # in gravity or the inertias make numpy scalars here
         return list(map(float, qdd))

@@ -157,16 +157,13 @@ def _pose_error(flat, target_pos, target_rot):
 
 
 def _ik_kernel(model, frame):
-    """``_pose_and_chain`` of ``frame`` compiled by ``tracing.trace_kernel`` on
-    first use and kept on ``model``; None if the trace raised."""
+    """``_pose_and_chain`` of ``frame``, a function of ``qs`` compiled by
+    ``tracing.trace_kernel`` on first use and kept on ``model``."""
     kernels = model._ik_kernels
     if frame.name not in kernels:
         from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
-        try:
-            kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(model, frame, qs),
-                                               model.n)
-        except Exception:  # the generic code then runs for every evaluation
-            kernels[frame.name] = None
+        kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(model, frame, qs),
+                                           model.n)
     return kernels[frame.name]
 
 
@@ -202,9 +199,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     Each loss and Jacobian read the link pose and chain (``_pose_and_chain``)
     from a straight-line float kernel (``tracing.trace_kernel``), traced on the
     first solve for a (model, link), in a few ms for a 6-DoF arm, and kept on
-    the model.  Where it returns None (an output is zero or not finite, as
-    at q = 0), or if the trace raised, ``_pose_loss`` runs instead: every
-    result is the generic code's, bit for bit.
+    the model; every result is the generic code's, bit for bit.
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  A solve
     converges when the position error is below ``POS_TOLERANCE`` and, for a
@@ -239,14 +234,10 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     step = _STEP
     restarts = backtracks = stagnant = 0
 
-    kernel = _ik_kernel(model, frame)
+    pose_and_chain = _ik_kernel(model, frame)
 
     def evaluate(qv):
-        qs = qv.tolist()
-        flat = None if kernel is None else kernel(qs)
-        if flat is None:   # the kernel cannot vouch for its result
-            return _pose_loss(model, frame, qs, target_pos, target_rot)
-        return _pose_error(flat, target_pos, target_rot)
+        return _pose_error(pose_and_chain(qv.tolist()), target_pos, target_rot)
 
     def converged(ev):
         return ev[1] < POS_TOLERANCE and (target_rot is None or ev[2] < ROT_TOLERANCE)

@@ -294,7 +294,10 @@ def generate_dataset(model, n_samples, gravity=None, seed=0, noise_std=0.0):
 
     q is uniform in [-π, π], q̇ and q̈ in [-2, 2]; one seed gives one dataset.
     ``noise_std`` (finite, >= 0) adds Gaussian noise to the torque column.
+    A model with no movable joints raises ``ValueError``.
     """
+    if model.n == 0:
+        raise ValueError(f"model {model.name!r} has no movable joints")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not 0.0 <= noise_std < math.inf:

@@ -199,8 +199,11 @@ def run_checks(model, seed=0, n_states=20, grad_states=3):
     """Run the full oracle suite on one ``Sample``; returns a report dict.
 
     A check whose error is NaN (a route returned NaN) fails, and its
-    ``max_error`` reads NaN.
+    ``max_error`` reads NaN.  A model with no movable joints raises
+    ``ValueError``.
     """
+    if model.n == 0:
+        raise ValueError(f"model {model.name!r} has no movable joints")
     sample = Sample(model, seed, n_states, grad_states)
     report = {"model": model.name, "dof": model.n, "seed": seed, "checks": {}}
     all_pass = True

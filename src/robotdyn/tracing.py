@@ -80,14 +80,8 @@ class Trace:
 
     A plain-number operand becomes a constant bound by name (``repr`` does not
     round-trip ``inf``/``nan``).  Operations on constants alone run as plain
-    float arithmetic and are never recorded.  These are folded instead of
-    recorded: ``x + 0``, ``x - 0``, ``x * 1``, ``x / 1`` -> ``x``; ``x * -1``,
-    ``x / -1``, ``0 - x`` -> ``-x``; ``x * 0`` -> ``0``.  All are exact up to
-    the sign of a zero, so the kernel gives up on a zero output, and ``x * 0``
-    is exact for finite ``x`` only.  The kernel tests the sum of its outputs
-    for finiteness, which covers every folded ``x`` whose non-finite value
-    would reach an output, and the sum of the other folded ``x``, the
-    *witness*.
+    float arithmetic and are never recorded; the identities ``trace_kernel``
+    lists are folded instead of recorded.
 
     Each statement stays structural, an operation's template and its operand
     names, until ``compile`` renders it: the compiled kernel is nested
@@ -146,9 +140,9 @@ class Trace:
         self.statements.append((out.name, _EXPRESSIONS[op], tuple(names), reads, spreads))
         return out
 
-    def compile(self, inputs, outputs):
+    def compile(self, f, inputs, outputs):
         """``kernel(*lists)`` for the traced ``inputs`` (lists of ``Traced``)
-        and ``outputs``; see ``trace_kernel``.
+        and ``outputs`` of ``f``; see ``trace_kernel``.
 
         Dead-code elimination keeps the guards and whatever the outputs and
         the finiteness test read.  ``_fuse`` then folds each temporary read
@@ -157,8 +151,8 @@ class Trace:
         names read more than once stay assigned.  This is exact: every IEEE
         operation still runs once on the same operands, and only their
         schedule changes.  It may change which error a bad input raises
-        first, but any error, like a guard, makes the kernel return None.
-        The statements left are compiled as the body of one function.
+        first, but any error, like a guard, hands the call to ``f``.  The
+        statements left are compiled as the body of one function.
         """
         out_names = [self.name(y) for y in outputs]
         traced = [y for y in outputs if isinstance(y, Traced)]
@@ -174,7 +168,7 @@ class Trace:
             check = sum(terms[1:], terms[0])
             reads.add(check.name)
             zero = f" or 0.0 in ({', '.join(y.name for y in traced)},)" if traced else ""
-            tail.append(f"if not isfinite({check.name}){zero}: return None")
+            tail.append(f"if not isfinite({check.name}){zero}: raise _Bail")
         tail.append(f"return [{', '.join(out_names)}]")
 
         # dead-code elimination: keep the guards and whatever the tail reads
@@ -185,8 +179,8 @@ class Trace:
                 live.update(statement[3])
         kept.reverse()
 
-        namespace = dict(self.constants, isfinite=math.isfinite, _Bail=_Bail,
-                         **{name: f for name, f, _ in _ELEMENTARY})
+        namespace = dict(self.constants, isfinite=math.isfinite, _Bail=_Bail, _f=f,
+                         **{name: fn for name, fn, _ in _ELEMENTARY})
         namespace.update(sin=math.sin, cos=math.cos)  # floats only: skip the type dispatch
         args = [f"a{i}" for i in range(len(inputs))]
         lines = [f"def kernel({', '.join(args)}):", "    try:"]
@@ -195,9 +189,10 @@ class Trace:
         lines += [f"        if {expr}: raise _Bail" if target is None
                   else f"        {target} = {expr}" for target, expr in _fuse(kept, reads)]
         lines += ["        " + line for line in tail]
-        # a guard, a float operation or a malformed input raised: the traced
-        # function, run on the plain floats, decides what that means
-        lines += ["    except (ArithmeticError, ValueError, TypeError):", "        return None"]
+        # a guard, the finiteness test, a float operation or a malformed input
+        # raised: the traced function, run on the plain floats, decides the result
+        lines += ["    except (ArithmeticError, ValueError, TypeError):", "        pass",
+                  f"    return _f({', '.join(args)})"]
         exec(compile("\n".join(lines), "<kernel>", "exec"), namespace)
         return namespace.pop("kernel")
 
@@ -295,22 +290,33 @@ class Traced(_Scalar):
 
 
 def trace_kernel(f, *sizes):
-    """Trace ``f`` once and compile it into straight-line float code.
+    """``f`` traced once and compiled into straight-line float code.
 
     ``f`` is called once, on lists of ``Traced`` scalars of the given sizes,
-    and must return a list of scalars built from them and plain numbers.
-    The result, ``kernel(*lists)``, takes lists of floats of those sizes and
-    returns the list ``f`` returns on them, equal under ``==`` and in the sign
-    of every zero; or None when it cannot vouch for that: a guard held, the
-    float arithmetic raised, an output is zero or not finite, or the witness
-    of the folded ``x * 0`` is not finite (see ``Trace``).
+    and must return a list of scalars built from them and plain numbers.  The
+    result, ``kernel(*lists)``, takes lists of floats of those sizes and gives
+    ``f(*lists)`` for every input, equal under ``==`` and in the sign of every
+    zero, or raises what ``f`` raises: it returns its compiled result where it
+    can vouch for it, and otherwise calls ``f`` on the same lists.
 
-    ``np.any`` of a traced comparison is a guard: the trace takes it as false
-    and the kernel returns None when it holds, so an error branch such as
-    ``if np.any(singular): raise ...`` is left to ``f`` on plain floats.  Any
-    other branch on a traced value, and any operand that is not a plain
-    number, raises ``TraceError``; whatever else ``f`` raises propagates.
+    The trace folds ``x + 0``, ``x - 0``, ``x * 1``, ``x / 1`` -> ``x``;
+    ``x * -1``, ``x / -1``, ``0 - x`` -> ``-x``; ``x * 0`` -> ``0``.  All are
+    exact up to the sign of a zero, so a zero output goes to ``f``; and
+    ``x * 0`` is exact for finite ``x`` only, so one finiteness test of the
+    sum of the outputs and of the *witness* (the folded ``x`` whose non-finite
+    value would reach no output) sends every non-finite case to ``f``.  So
+    does a call on which the float arithmetic raises, or a list of the wrong
+    length.  ``np.any`` of a traced comparison is a guard: the trace takes it
+    as false and the call goes to ``f`` when it holds, so an error branch such
+    as ``if np.any(singular): raise ...`` raises on plain floats.
+
+    Any other branch on a traced value, or an operand that is not a plain
+    number, makes the trace raise ``TraceError``.  Whatever the trace raises,
+    the result is ``f`` itself.
     """
     trace = Trace()
     inputs = [[trace.scalar("x") for _ in range(n)] for n in sizes]
-    return trace.compile(inputs, list(f(*inputs)))
+    try:
+        return trace.compile(f, inputs, list(f(*inputs)))
+    except Exception:   # f, on plain floats, reports whatever made the trace fail
+        return f

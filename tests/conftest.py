@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robotdyn as rd
+from robotdyn.tracing import trace_kernel
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,20 @@ def random_state(model, rng, scale=1.0):
     qd = rng.uniform(-scale, scale, size=model.n)
     tau = rng.uniform(-scale, scale, size=model.n)
     return q, qd, tau
+
+
+def spy_kernel(f, *sizes):
+    """``trace_kernel`` of a wrapper of ``f``, and the list of the argument
+    tuples ``f`` received after the trace: the calls the kernel handed to it."""
+    calls = []
+
+    def spied(*args):
+        calls.append(args)
+        return f(*args)
+
+    kernel = trace_kernel(spied, *sizes)
+    calls.clear()   # the trace's own call
+    return kernel, calls
 
 
 def urdf_text(name, links, joints):

@@ -4,6 +4,7 @@ import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_info_cycle_fixture_exits_2(capsys):
 
 def test_info_nonfinite_mass_exits_2(capsys, tmp_path):
     path = tmp_path / "nan_mass.urdf"
-    text = open(fx("pendulum")).read()
+    text = Path(fx("pendulum")).read_text()
     assert '<mass value="1.0"/>' in text
     path.write_text(text.replace('<mass value="1.0"/>', '<mass value="nan"/>'))
     code, _, err = run_cli(capsys, "info", str(path))
@@ -257,6 +258,20 @@ def test_gen_data_zero_records_exits_2(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "gen-data", fx("pendulum"), "--n", "0",
                          "--out", str(tmp_path / "x.jsonl"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "gen-data"])
+def test_model_without_movable_joints_exits_2_naming_the_cause(capsys, tmp_path, command):
+    # a base, one fixed joint and a tool link: a model with n = 0
+    inertial = (1.0, (0, 0, 0), (0, 0, 0), (0.1, 0.0, 0.0, 0.1, 0.0, 0.1))
+    path, out = tmp_path / "z.urdf", tmp_path / "z.jsonl"
+    path.write_text(urdf_text("z", [("base", None), ("tool", inertial)],
+                              [("f", "fixed", "base", "tool", (0, 0, 0.5), (0, 0, 0),
+                                (1, 0, 0))]))
+    extra = ["--n", "3", "--out", str(out)] if command == "gen-data" else []
+    assert run_cli(capsys, command, str(path), *extra) == \
+        (2, "", "error: model 'z' has no movable joints\n")
+    assert not out.exists()
 
 
 def test_gen_data_unwritable_path_exits_1(capsys):

@@ -619,6 +619,14 @@ def test_simulate_torque_fn_is_applied(pendulum):
 def test_simulate_rejects_bad_arguments(pendulum):
     with pytest.raises(ValueError):
         simulate(pendulum, [0.0], [0.0], None, -1e-3, 10)
+
+    def never(t, q, qd):
+        raise AssertionError("torque_fn was called")
+
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError) as exc:
+            simulate(pendulum, [0.0], [0.0], never, dt, 10)
+        assert str(exc.value) == f"dt must be positive and finite, got {dt!r}"
     with pytest.raises(ValueError):
         simulate(pendulum, [0.0], [0.0], None, 1e-3, 0)
     # RK4 is the only integrator

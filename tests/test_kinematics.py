@@ -22,8 +22,7 @@ from robotdyn.kinematics import (
     local_transforms,
 )
 from robotdyn.spatial import Mat33, SpatialTransform, Vec3, rot_axis_angle
-from robotdyn.tracing import trace_kernel
-from conftest import random_state, urdf_text
+from conftest import random_state, spy_kernel, urdf_text
 
 
 def two_link_fk_oracle(q1, q2):
@@ -316,12 +315,12 @@ def test_ik_rejects_input_it_cannot_honour_before_any_work(two_link, monkeypatch
     kwargs, error, message = IK_BAD_INPUT[case]
 
     def no_work(*args):
-        raise AssertionError("the pose loss was evaluated")
+        raise AssertionError("the link pose was evaluated")
 
     def no_kernel(*args):
         raise AssertionError("the IK kernel was built or called")
 
-    monkeypatch.setattr(kinematics, "_pose_loss", no_work)
+    monkeypatch.setattr(kinematics, "_pose_and_chain", no_work)
     monkeypatch.setattr(kinematics, "_ik_kernel", no_kernel)
     monkeypatch.setattr(two_link, "_ik_kernels", {"tool": no_kernel})
     args = {"target": Vec3(1.0, 1.0, 0.0), "q0": [0.1, 0.1], **kwargs}
@@ -338,9 +337,9 @@ def test_ik_accepts_the_edges_of_its_input_domain(two_link):
 
 def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
         six_dof, monkeypatch):
-    # each loss takes its link pose from one evaluation: a kernel result, or
-    # else one _pose_loss, which composes it with one link_transform
-    calls = dict.fromkeys(("_pose_error", "_pose_loss", "link_transform", "_jacobian"), 0)
+    # each loss takes its link pose from one kernel call: compiled, or else
+    # handed to one _pose_and_chain, which composes it with one link_transform
+    calls = dict.fromkeys(("_pose_error", "_pose_and_chain", "link_transform", "_jacobian"), 0)
     kernel, results = kinematics._ik_kernel(six_dof, six_dof.link("tool")), []
 
     def counted(name):
@@ -362,11 +361,10 @@ def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
     res = inverse_kinematics(six_dof, target, "tool", q0=[0.0] * 6, seed=0)
     assert res.converged and res.restarts == 0 and res.iterations >= 3
     assert calls["_jacobian"] == res.iterations
-    hits = sum(out is not None for out in results)
-    assert calls["_pose_error"] == len(results) == hits + calls["_pose_loss"]
+    assert calls["_pose_error"] == len(results)
     # the start q0 = 0 has exact zeros in its pose, so the generic code runs there
-    assert calls["link_transform"] == calls["_pose_loss"] >= 1
-    assert hits >= res.iterations
+    assert calls["link_transform"] == calls["_pose_and_chain"] >= 1
+    assert len(results) - calls["_pose_and_chain"] >= res.iterations   # compiled results
 
 
 def test_ik_with_its_kernel_equals_ik_without_it(monkeypatch):
@@ -385,14 +383,14 @@ def test_ik_with_its_kernel_equals_ik_without_it(monkeypatch):
                 for j, t in enumerate(targets)
                 for r in [inverse_kinematics(model, t, "tool", q0=[0.0] * 6, seed=j)]]
 
-    def no_trace(*args):
+    def no_compile(*args):
         raise RuntimeError("the trace failed")
 
     got = solve(models[0])
-    monkeypatch.setattr(tracing, "trace_kernel", no_trace)
+    monkeypatch.setattr(tracing.Trace, "compile", no_compile)
     want = solve(models[1])
-    assert models[0]._ik_kernels["tool"] is not None
-    assert models[1]._ik_kernels == {"tool": None}
+    assert models[0]._ik_kernels["tool"].__code__.co_filename == "<kernel>"
+    assert models[1]._ik_kernels["tool"].__code__.co_filename != "<kernel>"
     assert got == want
 
 
@@ -514,13 +512,14 @@ def test_traced_aba_on_a_tree_with_rotated_origins_equals_aba():
     model = rd.build_model(rd.parse_urdf(urdf_text("rotated_tree", links, joints)))
     assert {b.origin_is_identity for b in model.bodies} == {True, False}
     n = model.n
-    kernel = trace_kernel(lambda *state: aba(model, *state), n, n, n)
+    kernel, fallbacks = spy_kernel(lambda *state: aba(model, *state), n, n, n)
     for _ in range(10):
         state = [x.tolist() for x in random_state(model, rng, scale=3.0)]
         got, want = kernel(*state), aba(model, *state)
-        assert got is not None
+        assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("name", ["two_link_planar", "six_dof_arm"])

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 import robotdyn as rd
 from robotdyn import kinematics, learn, selfcheck
 from robotdyn.dynamics import aba
-from robotdyn.tracing import trace_kernel
-from conftest import random_state, urdf_text
+from conftest import random_state, spy_kernel, urdf_text
 from test_dynamics import assert_regressor_matches_rnea
 from test_kinematics import assert_ik_gradient_matches_ad
 from test_learn import FIELD_SETS, assert_fit_gradient_matches_loss_gradient
@@ -123,14 +122,14 @@ def test_random_tree_aba_kernel_equals_generic(tree):
     links, joints = tree
     model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
     n = model.n
-    kernel = trace_kernel(lambda *state: aba(model, *state), n, n, n)
+    kernel, fallbacks = spy_kernel(lambda *state: aba(model, *state), n, n, n)
     rng = np.random.default_rng(0)
     for _ in range(10):
         state = [x.tolist() for x in random_state(model, rng, scale=3.0)]
         got, want = kernel(*state), aba(model, *state)
-        assert got is not None   # finite, nonzero and no guard held
         assert got == want
         assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+    assert fallbacks == []   # finite, nonzero and no guard held: the compiled code answered
 
 
 @settings(max_examples=45, deadline=None, derandomize=True, database=None)
@@ -140,18 +139,20 @@ def test_random_tree_ik_pose_kernel_equals_generic(tree):
     model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
     rng = np.random.default_rng(0)
     states = [random_state(model, rng)[0].tolist() for _ in range(5)]
-    # at zero, and with some joints at ±0, outputs may be zero: the kernel may refuse
+    # at zero, and with some joints at ±0, outputs may be zero: the kernel may
+    # hand the call to the generic code
     edges = [[0.0] * model.n, [x if k % 2 else -0.0 for k, x in enumerate(states[0])]]
     for link in model.link_names():   # every link: the base, branches, fixed links
         frame = model.link(link)
-        kernel = kinematics._ik_kernel(model, frame)
+        # the function _ik_kernel traces
+        kernel, fallbacks = spy_kernel(lambda qs: kinematics._pose_and_chain(model, frame, qs),
+                                       model.n)
         for q in states + edges:
             got, want = kernel(q), kinematics._pose_and_chain(model, frame, q)
-            assert got is not None or q in edges   # finite, nonzero and no guard held
-            if got is not None:
-                assert got == want
-                assert [math.copysign(1.0, x) for x in got] == \
-                    [math.copysign(1.0, x) for x in want]
+            assert got == want
+            assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+            assert not fallbacks or q in edges   # finite, nonzero and no guard held
+            fallbacks.clear()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
