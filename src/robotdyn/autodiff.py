@@ -2,17 +2,19 @@
 
 Two scalar flavours are provided:
 
-* ``Dual`` -- forward mode with a fixed-width tuple of partials, used for
-  Jacobians of vector functions with few inputs.
+* ``Dual`` -- forward mode; its partials are one array with a row per input,
+  so one numpy product applies the chain rule to every partial of a float or
+  of a batch.  Used for Jacobians of vector functions with few inputs.
 * ``Var`` -- reverse mode; every operation appends a node to a ``Tape`` and
   a single backward sweep yields the gradient of a scalar output.
 
 A third, ``tracing.Traced``, records float operations for a straight-line
 kernel; it shares ``_Scalar`` and the elementary functions below.
 
-Each operation is defined once for both: it computes its value and local
+Each operation is defined once for all three: it computes its value and local
 partials and hands them to ``_new(value, op, parents)``, which records a tape
-node (``Var``) or applies the chain rule to the operands' partials (``Dual``).
+node (``Var``), records a kernel statement (``Traced``) or applies the chain
+rule to the operands' partials (``Dual``).
 
 All kinematics/dynamics code in this package is written against ordinary
 arithmetic operators plus the module-level functions ``sin``, ``cos``,
@@ -109,13 +111,14 @@ def _all_finite(v):
 
 
 # ---------------------------------------------------------------------------
-# operators shared by both flavours
+# operators shared by every flavour
 # ---------------------------------------------------------------------------
 
 class _Scalar:
-    """Operators of both flavours.  ``parents`` pairs each differentiable
-    operand with the local partial of the result with respect to it; plain
-    numbers contribute no pair.
+    """Operators of all three flavours (``Var``, ``Dual`` and
+    ``tracing.Traced``).  ``parents`` pairs each differentiable operand with
+    the local partial of the result with respect to it; plain numbers
+    contribute no pair.
     """
 
     __slots__ = ()
@@ -166,8 +169,7 @@ class _Scalar:
         return self._new(v, "pow", ((self, p * self.value ** (p - 1.0)),))
 
     def __abs__(self):
-        s = np.sign(self.value) if isinstance(self.value, np.ndarray) else float(np.sign(self.value))
-        return self._new(abs(self.value), "abs", ((self, s),))
+        return self._new(abs(self.value), "abs", ((self, np.sign(self.value)),))
 
     # -- comparisons read the value channel only ----------------------------
     def __lt__(self, other):
@@ -300,50 +302,45 @@ def jacobian_rev(f, x):
 # forward mode
 # ---------------------------------------------------------------------------
 
-def _chain_rule(val, parents):
-    """Partials of a ``Dual`` result ``val``: the sum over (operand, local
-    partial) pairs of local partial * operand partials, floats or arrays."""
-    (x, dx), *rest = parents
-    with np.errstate(invalid="ignore"):
-        if rest:
-            (y, dy), = rest
-            partials = [_selected(dx, a, dx * a) + _selected(dy, b, dy * b)
-                        for a, b in zip(x.partials, y.partials)]
-        else:
-            partials = [_selected(dx, a, dx * a) for a in x.partials]
-    if not isinstance(val, np.ndarray):
-        # un-broadcast onto a scalar result, as the backward sweep does
-        partials = [float(s.sum()) if isinstance(s, np.ndarray) else s for s in partials]
-    return tuple(partials)
+def _rows(partials, nd):
+    """Partials (p,) + s with singleton axes after p, so that a float
+    operand's rows broadcast against an ``nd``-dimensional batch."""
+    pad = (1,) * (nd + 1 - partials.ndim)
+    return partials.reshape(partials.shape[:1] + pad + partials.shape[1:]) if pad else partials
 
 
 class Dual(_Scalar):
-    """Forward-mode scalar with a fixed-width tuple of partial derivatives."""
+    """Forward-mode scalar.  ``partials`` is one float array of shape
+    (p,) + shape(value): row j is the derivative with respect to input j."""
 
     __slots__ = ("value", "partials")
 
     def __init__(self, val, partials):
         self.value = val
-        self.partials = partials
+        self.partials = np.asarray(partials, dtype=float)
 
     @staticmethod
     def seed(values):
-        """Lift ``values`` into duals carrying the identity seed matrix."""
-        n = len(values)
-        return [Dual(float(v), tuple(1.0 if j == i else 0.0 for j in range(n)))
-                for i, v in enumerate(values)]
+        """Lift ``values`` into duals whose partials are the identity's rows."""
+        return [Dual(float(v), row) for v, row in zip(values, np.eye(len(values)))]
 
+    @np.errstate(invalid="ignore", over="ignore")
     def _new(self, val, op, parents):
-        (x, dx), *rest = parents
-        if type(val) is float and type(dx) is float:
-            # all partials are floats: _chain_rule's products and sums alone
-            if not rest:
-                return Dual(val, tuple([dx * a for a in x.partials]))
-            (y, dy), = rest
-            if type(dy) is float:
-                return Dual(val, tuple([dx * a + dy * b
-                                        for a, b in zip(x.partials, y.partials)]))
-        return Dual(val, _chain_rule(val, parents))
+        # the sum over (operand, local partial d) pairs of d times the
+        # operand's partial rows; in a batch, a row whose product holds a NaN
+        # is _selected, as in the backward sweep
+        nd = val.ndim if isinstance(val, np.ndarray) else 0
+        g = None
+        for x, d in parents:
+            t = d * (_rows(x.partials, d.ndim) if isinstance(d, np.ndarray) else x.partials)
+            if t.ndim > 1 and math.isnan(np.vdot(t, t)):  # NaN exactly where t holds one
+                t = np.array([_selected(d, a, d * a) for a in x.partials])
+            g = t if g is None else g + t if g.ndim == t.ndim else _rows(g, nd) + _rows(t, nd)
+        if nd and g.shape[1:] != val.shape:
+            g = np.broadcast_to(_rows(g, nd), g.shape[:1] + val.shape)
+        elif g.ndim > 1 + nd:  # un-broadcast onto a float result, as backward does
+            g = np.ascontiguousarray(g).reshape(len(g), -1).sum(axis=1)
+        return Dual(val, g)
 
     def __repr__(self):
         return f"Dual({self.value!r}, {self.partials!r})"
@@ -423,15 +420,9 @@ def amean(x):
 
 def jacobian_fwd(f, x):
     """Full Jacobian of vector-valued ``f`` at ``x`` using n-wide duals."""
-    n = len(x)
     ys = f(Dual.seed(x))
-    rows = []
-    for y in ys:
-        if isinstance(y, Dual):
-            rows.append(list(y.partials))
-        else:
-            rows.append([0.0] * n)
-    return np.array(rows, dtype=float)
+    return np.array([y.partials if isinstance(y, Dual) else np.zeros(len(x)) for y in ys],
+                    dtype=float)
 
 
 def check_gradient(f, x):

@@ -221,6 +221,7 @@ class TrajectoryDataset:
     @classmethod
     def load_jsonl(cls, path):
         rows = {"q": [], "qd": [], "qdd": [], "tau": []}
+        has_bool = False  # numpy would read true/false, alone or mixed, as numbers
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -239,6 +240,8 @@ class TrajectoryDataset:
                     if not isinstance(value, list):
                         raise ValueError(f"{path}:{lineno}: '{key}' is not a list")
                     column.append(value)
+                if "r" in line or "l" in line:  # in true and false; in no key or number
+                    has_bool = has_bool or any(type(x) is bool for k in rows for x in rec[k])
         if not rows["q"]:
             raise ValueError(f"{path}: empty dataset")
         lengths = {len(v) for row in rows.values() for v in row}
@@ -248,7 +251,7 @@ class TrajectoryDataset:
             arrays = [np.array(column) for column in rows.values()]
         except ValueError:  # an entry is a list itself
             raise ValueError(_non_number(path, rows)) from None
-        if any(a.ndim != 2 or a.dtype.kind not in "biuf" for a in arrays):
+        if has_bool or any(a.ndim != 2 or a.dtype.kind not in "iuf" for a in arrays):
             raise ValueError(_non_number(path, rows))
         return cls(*arrays)
 
@@ -264,12 +267,12 @@ def _records(path):
 
 def _non_number(path, keys):
     """The line and entry of the first entry that numpy does not read as a
-    number."""
+    number, or reads as a boolean."""
     for lineno, rec in _records(path):
         for key in keys:
             for x in rec[key]:
                 a = np.array(x)
-                if a.ndim or a.dtype.kind not in "biuf":
+                if a.ndim or a.dtype.kind not in "iuf":
                     return (f"{path}:{lineno}: '{key}' entry {x!r} is not a float "
                             f"or a 64-bit integer")
     return f"{path}: entries are not all floats or 64-bit integers"

@@ -338,7 +338,7 @@ class RobotModel:
         self.kinematics_only = kinematics_only
         self.n = len(bodies)
         self._link_by_name = {l.name: l for l in links}
-        self._ik_kernels = {}  # link name -> IK kernel derived from the tree, or None
+        self._ik_kernels = {}  # link name -> IK kernel derived from the tree
 
     def link(self, link_name):
         try:

@@ -233,43 +233,43 @@ def test_forward_reverse_agreement_random():
             assert ad.check_gradient(f, x0) < 1e-6, name
 
 
-def _assert_float_path_is_chain_rule(monkeypatch, f, x):
-    """``jacobian_fwd`` of ``f`` at ``x`` is the same, bit for bit, with
-    ``Dual``'s float path and with every partial from ``_chain_rule``."""
-    want = ad.jacobian_fwd(f, x)
-    with monkeypatch.context() as m:
-        m.setattr(ad.Dual, "_new",
-                  lambda self, val, op, parents: ad.Dual(val, ad._chain_rule(val, parents)))
-        got = ad.jacobian_fwd(f, x)
-    assert want.tobytes() == got.tobytes()
+@pytest.mark.parametrize("fn", [ad.sqrt, ad.log])
+def test_jacobian_fwd_keeps_a_non_finite_partial_of_floats(fn):
+    # partials of floats are never masked: d sqrt(x*y) at (0, 2) is
+    # inf * (2, 0), so the partial with respect to y is NaN
+    J = ad.jacobian_fwd(lambda xs: [fn(xs[0] * xs[1])], [0.0, 2.0])
+    np.testing.assert_array_equal(J, [[np.inf, np.nan]])
 
 
-def test_dual_float_path_equals_chain_rule_bit_for_bit(monkeypatch):
-    # every scalar operator and elementary function, in the points of the
-    # agreement test and where a partial is infinite (sqrt and log at 0)
-    rng = np.random.default_rng(4)
-    for name, op in AGREEMENT_CASES.items():
-        if "batch" not in name and name != "where_array":
-            for _ in range(10):
-                _assert_float_path_is_chain_rule(monkeypatch, lambda xs: [op(*xs)],
-                                                 list(rng.uniform(-1, 1, 3)))
-    for fn in (ad.sqrt, ad.log):
-        _assert_float_path_is_chain_rule(monkeypatch, lambda xs: [fn(xs[0] * xs[1])],
-                                         [0.0, 2.0])
+def test_dual_masks_only_batch_rows_whose_product_holds_a_nan():
+    # -2 * row: a NaN row's zero-factor element is cut off to +0, as
+    # _selected does; a NaN-free row, and the partials of a float, keep -0
+    x = ad.Dual(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0, np.nan], [1.0, 0.0, 2.0]]))
+    y = x * -2.0
+    np.testing.assert_array_equal(y.partials, [[-2.0, 0.0, np.nan], [-2.0, 0.0, -4.0]])
+    assert np.signbit(y.partials[:, 1]).tolist() == [False, True]
+    z = ad.Dual(1.0, np.array([0.0, np.nan])) * -2.0
+    assert np.signbit(z.partials[0]) and np.isnan(z.partials[1])
 
 
-def test_dual_float_path_equals_chain_rule_on_inertial_params(monkeypatch, six_dof):
-    # pi(raw) of the benchmark's identification spec: softplus masses, a free
-    # CoM and a Cholesky-mapped rotational inertia
-    from robotdyn import learn
-    store = learn.ParamStore(six_dof)
-    for link in ("link2", "link3", "link4", "link5", "link6"):
-        store.make_learnable(link, "mass")
-    store.make_learnable("link3", "com").make_learnable("link4", "rot_inertia")
-    rng = np.random.default_rng(5)
-    for raw in [store.raw] + [store.raw + rng.normal(0.0, 1.0, store.size) for _ in range(5)]:
-        _assert_float_path_is_chain_rule(monkeypatch, lambda rs: learn._params(store, rs),
-                                         list(raw))
+def test_batched_forward_mode_equals_float_forward_mode_per_sample(all_models):
+    # aba on duals holding k samples, with partials seeded on [q; qd; tau]:
+    # each sample's values are float aba's, and its partials are the float
+    # Jacobian's, bit for bit
+    k = 5
+    rng = np.random.default_rng(6)
+    for model in all_models:
+        n = model.n
+        x = rng.uniform(-1.0, 1.0, (3 * n, k))
+        xs = [ad.Dual(x[j], np.outer(row, np.ones(k))) for j, row in enumerate(np.eye(3 * n))]
+        batch = rd.aba(model, xs[:n], xs[n:2 * n], xs[2 * n:])
+        assert all(y.partials.shape == (3 * n, k) for y in batch)
+        for s in range(k):
+            f = lambda v: rd.aba(model, v[:n], v[n:2 * n], v[2 * n:])
+            want = np.array(f(list(x[:, s])))
+            assert np.array([y.value[s] for y in batch]).tobytes() == want.tobytes()
+            J = ad.jacobian_fwd(f, list(x[:, s]))
+            assert np.array([y.partials[:, s] for y in batch]).tobytes() == J.tobytes()
 
 
 def test_where_at_sqrt_zero_differentiates_taken_branch_in_both_modes():

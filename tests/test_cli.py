@@ -374,6 +374,20 @@ def test_sysid_mixed_vector_lengths_exit_2(capsys, tmp_path):
     assert err == f"error: {data}:2: 'q' has length 2, expected 1\n"
 
 
+def test_sysid_boolean_entry_exits_2(capsys, tmp_path):
+    # a JSON true among floats: numpy would coerce it to 1.0 without a word
+    data = tmp_path / "train.jsonl"
+    run_cli(capsys, "gen-data", fx("two_link_planar"), "--n", "10", "--out", str(data))
+    first, *rest = data.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["q"][0] = True
+    data.write_text(json.dumps(record) + "\n" + "".join(rest))
+    code, out, err = run_cli(capsys, "sysid", fx("two_link_planar"), "--data", str(data),
+                             "--learn", "link1:mass")
+    assert (code, out) == (2, "")
+    assert err == f"error: {data}:1: 'q' entry True is not a float or a 64-bit integer\n"
+
+
 def test_sysid_dataset_dof_mismatch_exits_2(capsys, tmp_path):
     data = tmp_path / "train.jsonl"
     run_cli(capsys, "gen-data", fx("pendulum"), "--n", "10", "--out", str(data))

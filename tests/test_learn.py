@@ -290,6 +290,8 @@ def test_dataset_load_rejects_bad_input(tmp_path):
      "'qdd' entry None is not a float or a 64-bit integer"),
     ('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [[1.0]]}',
      "'tau' entry [1.0] is not a float or a 64-bit integer"),
+    ('{"q": [0.0], "qd": [0.0], "qdd": [0.0], "tau": [false]}',
+     "'tau' entry False is not a float or a 64-bit integer"),
     ('{"q": [0.5, 1], "qd": [0.0], "qdd": [0.0], "tau": [0.0]}', "'q' has length 2, expected 1"),
     ('{"q": [0.5], "qd": [0.0], "qdd": [], "tau": [0.0]}', "'qdd' has length 0, expected 1"),
 ])
@@ -300,6 +302,21 @@ def test_dataset_load_names_line_of_malformed_record(tmp_path, record, message):
     with pytest.raises(ValueError) as exc:
         TrajectoryDataset.load_jsonl(path)
     assert str(exc.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("q, entry", [
+    ("[true, 0.5]", True), ("[0.5, false]", False), ("[false, true]", False)])
+def test_dataset_load_rejects_json_booleans(tmp_path, q, entry):
+    # numpy reads true/false as numbers, alone (a boolean array) or mixed with
+    # floats (coerced to 1.0 and 0.0); neither is a float
+    path = tmp_path / "bool.jsonl"
+    good = '{"q": [0.5, 1], "qd": [0.0, 0.0], "qdd": [0.0, 0.0], "tau": [0.0, 0.0]}\n'
+    bad = good.replace("[0.5, 1]", q)
+    for text in (bad + good, bad):
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            TrajectoryDataset.load_jsonl(path)
+        assert str(exc.value) == f"{path}:1: 'q' entry {entry!r} is not a float or a 64-bit integer"
 
 
 def test_dataset_rejects_nonfinite_values():

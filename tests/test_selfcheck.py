@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
-from robotdyn import selfcheck
+from robotdyn import dynamics, selfcheck
 from robotdyn.dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea
 from robotdyn.kinematics import forward_kinematics, link_jacobian
 from conftest import heavy_two_link_urdf, urdf_text
@@ -287,3 +287,85 @@ def test_mass_matrix_checks_fail_on_a_tampered_mass_matrix(name, monkeypatch):
         model = _six_dof_scaled(factor)
         err = CHECK_FNS[name](selfcheck.Sample(model, 0, 20, 3))
         assert err > CHECK_TOLS[name], (factor, err)
+
+
+# ---------------------------------------------------------------------------
+# fault table: which checks see which faults
+#
+# Each row applies one fault by patching a module or class attribute and pins
+# the exact set of checks that fail in each cell (model, seed); a cell not
+# listed fails none.  An oracle that gains or loses strength changes a row.
+
+
+def _rdiv_scaled_partial(s):
+    """``_Scalar.__rtruediv__`` with its local partial scaled by ``s``."""
+    def __rtruediv__(self, other):
+        inv = ad._div(1.0, self.value)
+        q = ad._div(other, self.value)
+        return self._new(q, "rdiv", ((self, -q * inv * s),))
+    return __rtruediv__
+
+
+def _mul_scaled_second_partial(s):
+    """``_Scalar.__mul__`` with the partial of its second operand scaled by ``s``."""
+    def __mul__(self, other):
+        if isinstance(other, ad._Scalar):
+            return self._new(self.value * other.value, "mul",
+                             ((self, other.value), (other, self.value * s)))
+        return self._new(self.value * other, "mul", ((self, other),))
+    return __mul__
+
+
+def _scaled(module, name, s):
+    """``module.name`` with its result scaled by ``s``."""
+    fn = getattr(module, name)
+    return [(module, name, lambda *args: fn(*args).scale(s))]
+
+
+def _mul_fault(s):
+    return [(ad._Scalar, "__mul__", _mul_scaled_second_partial(s)),
+            (ad._Scalar, "__rmul__", _mul_scaled_second_partial(s))]
+
+
+ENERGY, GRADIENT = {"energy_drift"}, {"gradient_vs_finite_difference"}
+ALL_CELLS = [(m, s) for m in ("two_link", "six_dof") for s in (0, 1)]
+# fault: (attributes to patch, {(model, seed): checks that fail})
+FAULT_TABLE = {
+    "cross_force*(1+1e-6)": (_scaled(dynamics, "cross_force", 1 + 1e-6), {}),
+    "cross_force*2": (_scaled(dynamics, "cross_force", 2.0), {}),
+    "cross_motion*(1+1e-6)": (_scaled(dynamics, "cross_motion", 1 + 1e-6),
+                              {("two_link", 1): ENERGY, ("six_dof", 0): ENERGY,
+                               ("six_dof", 1): ENERGY}),
+    "cross_motion*(1+1e-3)": (_scaled(dynamics, "cross_motion", 1 + 1e-3),
+                              dict.fromkeys(ALL_CELLS, ENERGY)),
+    "rtruediv_partial*(1+1e-6)": ([(ad._Scalar, "__rtruediv__",
+                                    _rdiv_scaled_partial(1 + 1e-6))], {}),
+    "rtruediv_partial*(1+1e-3)": ([(ad._Scalar, "__rtruediv__",
+                                    _rdiv_scaled_partial(1 + 1e-3))], {}),
+    "mul_second_partial*(1+1e-6)": (_mul_fault(1 + 1e-6),
+                                    {("six_dof", 0): GRADIENT, ("six_dof", 1): GRADIENT}),
+    "mul_second_partial*(1+1e-4)": (_mul_fault(1 + 1e-4), dict.fromkeys(ALL_CELLS, GRADIENT)),
+}
+
+
+def _fault_witness(model):
+    """Values each fault of the table changes: rnea at a moving state, and the
+    gradients of 1/x and of x*y."""
+    n = model.n
+    tau = rnea(model, [0.3] * n, [0.7] * n, [0.1] * n)
+    return (tau, ad.gradient(lambda xs: 1.0 / xs[0], [2.0]).tolist(),
+            ad.gradient(lambda xs: xs[0] * xs[1], [2.0, 3.0]).tolist())
+
+
+@pytest.mark.parametrize("fault", FAULT_TABLE)
+def test_fault_table_pins_the_checks_that_fail(fault, two_link, six_dof, monkeypatch):
+    models = {"two_link": two_link, "six_dof": six_dof}
+    patches, cells = FAULT_TABLE[fault]
+    clean = _fault_witness(six_dof)
+    for obj, attr, value in patches:
+        monkeypatch.setattr(obj, attr, value)
+    assert _fault_witness(six_dof) != clean  # the fault is live
+    for name, seed in ALL_CELLS:
+        report = selfcheck.run_checks(models[name], seed)
+        failed = {check for check, r in report["checks"].items() if not r["passed"]}
+        assert failed == cells.get((name, seed), set()), (name, seed)
