@@ -247,10 +247,12 @@ def cmd_ik(args):
                              max_iters=args.max_iters, seed=args.seed)
     payload = {"q": [float(x) for x in res.q], "converged": res.converged,
                "residual": float(res.residual), "iterations": res.iterations,
-               "restarts": res.restarts, "backtracks": res.backtracks}
+               "restarts": res.restarts, "backtracks": res.backtracks,
+               "evaluations": res.evaluations}
     _emit(args, payload, [f"q: {payload['q']}", f"converged: {res.converged}",
                           f"residual: {res.residual:g}",
-                          f"restarts: {res.restarts}, backtracks: {res.backtracks}"])
+                          f"restarts: {res.restarts}, backtracks: {res.backtracks}, "
+                          f"evaluations: {res.evaluations}"])
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .spatial import Mat33, MotionVector, SpatialTransform, Vec3, rot_basis_angle
+from .spatial import Mat33, SpatialTransform, Vec3, rot_basis_angle
 
 
 class Pose:
@@ -33,6 +33,7 @@ class IKResult:
     iterations: int
     restarts: int      # random-restart rounds
     backtracks: int    # step halvings, summed over both line searches
+    evaluations: int   # pose evaluations (loss at one configuration)
 
 
 def local_transforms(model, q):
@@ -106,21 +107,28 @@ def _pose_and_chain(model, frame, qs):
 def _jacobian(model, frame, flat, batch=None):
     """``link_jacobian`` of ``frame`` from its ``_pose_and_chain`` list ``flat``
     at a float configuration or, given the ``batch`` shape, at any scalar type
-    by value."""
+    by value.
+
+    With p the link position and a, o the world axis and origin of a chain
+    joint, its column is (a, a × (p − o)) for a revolute joint and (0, a) for
+    a prismatic one, formed entry by entry with the operations of
+    ``Vec3.__sub__`` and ``Vec3.cross``, in their order.
+    """
     J = np.zeros((6, model.n) + (batch or ()))
-    p_link = Vec3(*flat[:3])
+    px, py, pz = flat[:3]
     i, k = frame.body, 12
     while i >= 0:
         body = model.bodies[i]
-        axis_w = Vec3(*flat[k:k + 3])
+        ax, ay, az, ox, oy, oz = flat[k:k + 6]
         if body.joint_type == "prismatic":
-            col = MotionVector(Vec3.zero(), axis_w)
+            col = (0.0, 0.0, 0.0, ax, ay, az)
         else:
-            col = MotionVector(axis_w, axis_w.cross(p_link - Vec3(*flat[k + 3:k + 6])))
+            rx, ry, rz = px - ox, py - oy, pz - oz
+            col = (ax, ay, az, ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx)
         if batch is None:
-            J[:, i] = col.tolist()
+            J[:, i] = col
         else:
-            for row, x in enumerate(col.tolist()):
+            for row, x in enumerate(col):
                 J[row, i] = ad.value(x)
         i, k = body.parent, k + 6
     return J
@@ -194,7 +202,9 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     that grows ×1.5 after each accepted gradient step.  The gradient is
     analytic (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
     only as its test oracle.  A stall restarts from the best of five random
-    in-limit configurations, and the best iterate is returned.
+    in-limit configurations, and the best iterate is returned.  The result
+    counts the ``iterations`` that ran, the ``restarts``, the ``backtracks``
+    (step halvings) and the ``evaluations`` of the pose and its loss.
 
     Each loss and Jacobian read the link pose and chain (``_pose_and_chain``)
     from a straight-line float kernel (``tracing.trace_kernel``), traced on the
@@ -225,18 +235,18 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             raise ValueError(message)
 
     lo, hi = model.joint_limits()
-    lo_s = np.maximum(lo, -2.0 * np.pi)
-    hi_s = np.minimum(hi, 2.0 * np.pi)
     q = np.minimum(np.maximum(q0, lo), hi)
     damping = 1e-6 * np.eye(model.n)
-    rng = random.Random(seed)
+    rng = None   # built on the first restart or nudge: most solves draw nothing
     perturbed = False
     step = _STEP
-    restarts = backtracks = stagnant = 0
+    restarts = backtracks = stagnant = evaluations = 0
 
     pose_and_chain = _ik_kernel(model, frame)
 
     def evaluate(qv):
+        nonlocal evaluations
+        evaluations += 1
         return _pose_error(pose_and_chain(qv.tolist()), target_pos, target_rot)
 
     def converged(ev):
@@ -270,6 +280,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             break
         if target_rot is not None and ev[2] > np.pi - 1e-3 and not perturbed:
             # orientation error at the antipode: nudge once to leave the stall
+            rng = rng or random.Random(seed)
             q = np.minimum(np.maximum(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
                                                     for _ in range(model.n)]), lo), hi)
             ev = evaluate(q)
@@ -294,8 +305,9 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             # restart from the best of a few random in-limit configurations,
             # keeping the best iterate found so far.
             restarts += 1
-            cands = [np.array([rng.uniform(a, b) for a, b in zip(lo_s, hi_s)])
-                     for _ in range(5)]
+            rng = rng or random.Random(seed)
+            box = list(zip(np.maximum(lo, -2.0 * np.pi), np.minimum(hi, 2.0 * np.pi)))
+            cands = [np.array([rng.uniform(a, b) for a, b in box]) for _ in range(5)]
             q, ev = min(((c, evaluate(c)) for c in cands), key=lambda c: c[1][0])
             step = _STEP
             stagnant = 0
@@ -305,4 +317,5 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
         best = (q, ev)
     q, ev = best
     return IKResult(q=q, converged=bool(converged(ev)), residual=max(ev[1], ev[2]),
-                    iterations=it, restarts=restarts, backtracks=backtracks)
+                    iterations=it, restarts=restarts, backtracks=backtracks,
+                    evaluations=evaluations)

@@ -208,6 +208,7 @@ def test_ik_position_target(capsys):
     assert doc["residual"] < 1e-4
     assert isinstance(doc["iterations"], int)
     assert isinstance(doc["restarts"], int) and isinstance(doc["backtracks"], int)
+    assert isinstance(doc["evaluations"], int) and doc["evaluations"] > doc["iterations"]
     assert len(doc["q"]) == 2
 
 
@@ -219,7 +220,8 @@ def test_ik_reports_restarts_and_backtracks(capsys):
     assert doc["restarts"] > 0 and doc["backtracks"] > 0
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
-    assert f"restarts: {doc['restarts']}, backtracks: {doc['backtracks']}" in out
+    assert (f"restarts: {doc['restarts']}, backtracks: {doc['backtracks']}, "
+            f"evaluations: {doc['evaluations']}") in out
 
 
 def test_ik_full_pose_target(capsys):

@@ -1,6 +1,8 @@
 """Forward kinematics, geometric Jacobians, and gradient IK."""
 
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from robotdyn.kinematics import (
     link_jacobian,
     local_transforms,
 )
-from robotdyn.spatial import Mat33, SpatialTransform, Vec3, rot_axis_angle
+from robotdyn.spatial import Mat33, MotionVector, SpatialTransform, Vec3, rot_axis_angle
 from conftest import random_state, spy_kernel, urdf_text
 
 
@@ -151,6 +153,50 @@ def test_jacobian_shape_and_unknown_link(two_link):
         link_jacobian(two_link, [0.1, 0.2], "nope")
 
 
+def reference_jacobian(model, frame, flat, batch=None):
+    """``_jacobian`` from spatial-algebra objects: with p the link position and
+    a, o the world axis and origin of a chain joint, its column is
+    ``MotionVector(a, a.cross(p - o))``, or ``MotionVector(0, a)`` if prismatic."""
+    J = np.zeros((6, model.n) + (batch or ()))
+    p = Vec3(*flat[:3])
+    i, k = frame.body, 12
+    while i >= 0:
+        body = model.bodies[i]
+        a = Vec3(*flat[k:k + 3])
+        if body.joint_type == "prismatic":
+            col = MotionVector(Vec3.zero(), a)
+        else:
+            col = MotionVector(a, a.cross(p - Vec3(*flat[k + 3:k + 6])))
+        for row, x in enumerate(col.tolist()):
+            J[row, i] = ad.value(x)
+        i, k = body.parent, k + 6
+    return J
+
+
+def assert_jacobians_equal_the_reference(model, qs):
+    """``_jacobian`` of every link, at each float configuration of ``qs`` and at
+    all of them as one batch, has the bytes of ``reference_jacobian``."""
+    batch = list(np.array(qs, dtype=float).T)
+    for link in model.link_names():
+        frame = model.link(link)
+        for q, shape in [(q, None) for q in qs] + [(batch, (len(qs),))]:
+            flat = _pose_and_chain(model, frame, q)
+            got = _jacobian(model, frame, flat, shape)
+            assert got.tobytes() == reference_jacobian(model, frame, flat, shape).tobytes(), \
+                (link, q)
+
+
+LOADABLE_FIXTURES = ("pendulum", "pendulum_mass2", "two_link_planar", "six_dof_arm")
+
+
+@pytest.mark.parametrize("name", LOADABLE_FIXTURES)
+def test_jacobian_equals_the_spatial_algebra_reference_bit_for_bit(name):
+    model = rd.load_model(rd.fixture_path(name))
+    rng = np.random.default_rng(18)
+    qs = [[0.0] * model.n, [-0.0] * model.n] + rng.uniform(-7.0, 7.0, (8, model.n)).tolist()
+    assert_jacobians_equal_the_reference(model, qs)
+
+
 # ---------------------------------------------------------------------------
 # inverse kinematics
 
@@ -204,13 +250,24 @@ def test_ik_fixed_point_returns_immediately(two_link):
     res = inverse_kinematics(two_link, target, "tool", q0=q0)
     assert res.converged
     assert res.iterations == 0
-    assert (res.restarts, res.backtracks) == (0, 0)
+    assert (res.restarts, res.backtracks, res.evaluations) == (0, 0, 1)
     np.testing.assert_allclose(res.q, q0, atol=1e-12)
     # the orientation-error acos clamp leaves a ~1e-6 residual floor
     assert res.residual < 1e-5
 
 
-def test_ik_nudges_once_off_an_orientation_antipode(six_dof):
+def spy_random(monkeypatch):
+    """The seeds of the ``random.Random`` generators IK builds from now on."""
+    seeds = []
+
+    def built(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+    monkeypatch.setattr(kinematics, "random", SimpleNamespace(Random=built))
+    return seeds
+
+
+def test_ik_nudges_once_off_an_orientation_antipode(six_dof, monkeypatch):
     # the target is the start turned by pi about the last joint: the
     # orientation error starts at the antipode, where the solver nudges q
     q0 = [-1.0] * 6
@@ -218,10 +275,12 @@ def test_ik_nudges_once_off_an_orientation_antipode(six_dof):
     target = forward_kinematics(six_dof, q_target)["tool"]
     start = _pose_loss(six_dof, six_dof.link("tool"), q0, target.position, target.rotation)
     assert start[2] > np.pi - 1e-3
+    seeds = spy_random(monkeypatch)
     res = inverse_kinematics(six_dof, target, "tool", q0=q0)
     assert res.converged and res.restarts == 0
     # the orientation-error acos clamp leaves a ~1e-6 residual floor
     assert res.residual < 1e-5
+    assert seeds == [0]   # the nudge drew from the solve's generator
     got = forward_kinematics(six_dof, list(res.q))["tool"]
     np.testing.assert_allclose(got.position.values(), target.position.values(), atol=1e-5)
 
@@ -367,31 +426,72 @@ def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
     assert len(results) - calls["_pose_and_chain"] >= res.iterations   # compiled results
 
 
+def six_dof_targets(model, seed, count=100):
+    """``count`` reachable ``tool`` targets of ``model``: every third a full
+    pose, the others position-only."""
+    lo, hi = model.joint_limits()
+    rng = np.random.default_rng(seed)
+    targets = [forward_kinematics(model, list(rng.uniform(lo, hi)))["tool"]
+               for _ in range(count)]
+    return [t if j % 3 == 0 else t.position for j, t in enumerate(targets)]
+
+
+def solve_all(model, targets):
+    """Every field of the IK result of each target, bit for bit."""
+    return [[r.q.tobytes(), r.converged, type(r.residual), r.residual.hex(),
+             r.iterations, r.restarts, r.backtracks, r.evaluations]
+            for j, t in enumerate(targets)
+            for r in [inverse_kinematics(model, t, "tool", q0=[0.0] * 6, seed=j)]]
+
+
 def test_ik_with_its_kernel_equals_ik_without_it(monkeypatch):
     # the same solves on a model whose kernel compiled and on one whose trace
     # raised: every IKResult field is the same, bit for bit
     models = [rd.load_model(rd.fixture_path("six_dof_arm")) for _ in range(2)]
-    lo, hi = models[0].joint_limits()
-    rng = np.random.default_rng(21)
-    targets = [forward_kinematics(models[0], list(rng.uniform(lo, hi)))["tool"]
-               for _ in range(100)]
-    targets = [t if j % 3 == 0 else t.position for j, t in enumerate(targets)]
-
-    def solve(model):
-        return [[r.q.tobytes(), r.converged, type(r.residual), r.residual.hex(),
-                 r.iterations, r.restarts, r.backtracks]
-                for j, t in enumerate(targets)
-                for r in [inverse_kinematics(model, t, "tool", q0=[0.0] * 6, seed=j)]]
+    targets = six_dof_targets(models[0], 21)
 
     def no_compile(*args):
         raise RuntimeError("the trace failed")
 
-    got = solve(models[0])
+    got = solve_all(models[0], targets)
     monkeypatch.setattr(tracing.Trace, "compile", no_compile)
-    want = solve(models[1])
+    want = solve_all(models[1], targets)
     assert models[0]._ik_kernels["tool"].__code__.co_filename == "<kernel>"
     assert models[1]._ik_kernels["tool"].__code__.co_filename != "<kernel>"
     assert got == want
+
+
+def test_ik_equals_ik_on_the_spatial_algebra_jacobian(six_dof, monkeypatch):
+    # the Jacobian's scalar column formula against the MotionVector columns
+    # it replaced, through whole solves: every IKResult field, bit for bit
+    targets = six_dof_targets(six_dof, 22)
+    got = solve_all(six_dof, targets)
+    monkeypatch.setattr(kinematics, "_jacobian", reference_jacobian)
+    assert solve_all(six_dof, targets) == got
+    assert any(restarts > 0 for *_, restarts, _, _ in got)
+
+
+def test_ik_counts_its_evaluations_and_draws_only_when_it_restarts(six_dof, monkeypatch):
+    kernel, calls = kinematics._ik_kernel(six_dof, six_dof.link("tool")), []
+
+    def spied(qs):
+        calls.append(qs)
+        return kernel(qs)
+
+    monkeypatch.setattr(kinematics, "_ik_kernel", lambda model, frame: spied)
+    seeds = spy_random(monkeypatch)
+    restarted = 0
+    for j, t in enumerate(six_dof_targets(six_dof, 23)):
+        calls.clear()
+        seeds.clear()
+        res = inverse_kinematics(six_dof, t, "tool", q0=[0.0] * 6, seed=j)
+        assert res.evaluations == len(calls) >= res.iterations + 1
+        if res.restarts:
+            restarted += 1
+            assert seeds == [j]
+        elif isinstance(t, Vec3):   # no restart, and no antipode nudge
+            assert seeds == []
+    assert 0 < restarted < 100
 
 
 @pytest.mark.parametrize("max_iters", [1, 3])
@@ -464,6 +564,12 @@ def test_basis_chain_covers_identity_and_rotated_origins(chain):
         assert (jtype, True) in flags and (jtype, False) in flags
 
 
+def test_jacobian_on_every_joint_type_and_origin_equals_the_reference(chain):
+    rng = np.random.default_rng(19)
+    qs = [[0.0] * chain.n] + rng.uniform(-7.0, 7.0, (4, chain.n)).tolist()
+    assert_jacobians_equal_the_reference(chain, qs)
+
+
 def test_local_transforms_on_floats_equal_the_reference_bit_for_bit(chain):
     rng = np.random.default_rng(13)
     for q in ([0.0] * chain.n, [-0.0] * chain.n, [math.pi] * chain.n,
@@ -500,8 +606,9 @@ def test_local_transforms_on_vars_equal_the_reference_in_value_and_gradient(chai
     assert list(got) == list(want)
 
 
-def test_traced_aba_on_a_tree_with_rotated_origins_equals_aba():
-    rng = np.random.default_rng(16)
+def rotated_tree(rng):
+    """A branching tree of six joints, two of each movable type, every other
+    one under a random rpy origin, drawn from ``rng``."""
     links, joints = [("base", None)], []
     for k in range(1, 7):
         rpy = (0.0, 0.0, 0.0) if k % 2 else tuple(rng.uniform(-np.pi, np.pi, 3))
@@ -509,7 +616,12 @@ def test_traced_aba_on_a_tree_with_rotated_origins_equals_aba():
         joints.append((f"j{k}", ("revolute", "continuous", "prismatic")[k % 3],
                        links[rng.integers(0, k)][0], f"l{k}",
                        tuple(rng.uniform(-0.5, 0.5, 3)), rpy, BASIS_AXES[(3 * k) % 9]))
-    model = rd.build_model(rd.parse_urdf(urdf_text("rotated_tree", links, joints)))
+    return rd.build_model(rd.parse_urdf(urdf_text("rotated_tree", links, joints)))
+
+
+def test_traced_aba_on_a_tree_with_rotated_origins_equals_aba():
+    rng = np.random.default_rng(16)
+    model = rotated_tree(rng)
     assert {b.origin_is_identity for b in model.bodies} == {True, False}
     n = model.n
     kernel, fallbacks = spy_kernel(lambda *state: aba(model, *state), n, n, n)

@@ -1,7 +1,8 @@
 """Property tests on random valid URDF trees: the cross-algorithm oracles of
 ``robot check``, the straight-line ``aba`` and IK pose kernels against the
-generic code, an independent forward-kinematics oracle, the analytic IK
-gradient against reverse-mode AD, and the inertial regressor (and the
+generic code, an independent forward-kinematics oracle, the geometric
+Jacobian against its spatial-algebra form, the analytic IK gradient against
+reverse-mode AD, and the inertial regressor (and the
 identification gradient built on it) against batched ``rnea``.
 
 Trees have 1-6 movable joints (revolute, continuous, prismatic) and 0-3
@@ -23,7 +24,7 @@ from robotdyn import kinematics, learn, selfcheck
 from robotdyn.dynamics import aba
 from conftest import random_state, spy_kernel, urdf_text
 from test_dynamics import assert_regressor_matches_rnea
-from test_kinematics import assert_ik_gradient_matches_ad
+from test_kinematics import assert_ik_gradient_matches_ad, assert_jacobians_equal_the_reference
 from test_learn import FIELD_SETS, assert_fit_gradient_matches_loss_gradient
 
 MOVABLE = ("revolute", "continuous", "prismatic")
@@ -153,6 +154,16 @@ def test_random_tree_ik_pose_kernel_equals_generic(tree):
             assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
             assert not fallbacks or q in edges   # finite, nonzero and no guard held
             fallbacks.clear()
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(robot_trees())
+def test_random_tree_jacobian_equals_spatial_algebra_reference(tree):
+    links, joints = tree
+    model = rd.build_model(rd.parse_urdf(urdf_text("random_tree", links, joints)))
+    rng = np.random.default_rng(0)
+    assert_jacobians_equal_the_reference(
+        model, [[0.0] * model.n] + [random_state(model, rng)[0].tolist() for _ in range(3)])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

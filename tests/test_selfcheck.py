@@ -8,7 +8,9 @@ return the same error, bit for bit, on the dynamics fixtures and on random
 trees.
 """
 
+import contextlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,10 +18,13 @@ from hypothesis import given, settings
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
-from robotdyn import dynamics, selfcheck
+from robotdyn import dynamics, selfcheck, spatial, urdf
 from robotdyn.dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea
 from robotdyn.kinematics import forward_kinematics, link_jacobian
+from robotdyn.spatial import ForceVector, MotionVector, Vec3
+import test_acceptance
 from conftest import heavy_two_link_urdf, urdf_text
+from test_kinematics import rotated_tree
 from test_random_trees import robot_trees
 
 _random_state = selfcheck._random_state
@@ -327,25 +332,69 @@ def _mul_fault(s):
             (ad._Scalar, "__rmul__", _mul_scaled_second_partial(s))]
 
 
+def _rigid_product_tau_sign_flipped(m, h, I, v):
+    """``rigid_product`` with the sign of its h × v_lin torque term flipped."""
+    return ForceVector(I.matvec(v.ang) - h.cross(v.lin), v.lin.scale(m) + v.ang.cross(h))
+
+
+def _apply_motion_inv_lin_sign_flipped(self, v):
+    """``SpatialTransform.apply_motion_inv`` with p × ω added to its linear part,
+    not subtracted."""
+    R = self.rot
+    return MotionVector(R.tmatvec(v.ang), R.tmatvec(v.lin + self.trans.cross(v.ang)))
+
+
+def _prismatic_subspace_as_revolute():
+    """Model build that gives a prismatic joint the motion subspace (a, 0) of a
+    revolute one, in place of (0, a)."""
+    init = urdf.Body.__init__
+
+    def __init__(self, *args):
+        init(self, *args)
+        if self.joint_type == "prismatic":
+            self.subspace = MotionVector(self.axis, Vec3.zero())
+    return [(urdf.Body, "__init__", __init__)]
+
+
 ENERGY, GRADIENT = {"energy_drift"}, {"gradient_vs_finite_difference"}
-ALL_CELLS = [(m, s) for m in ("two_link", "six_dof") for s in (0, 1)]
-# fault: (attributes to patch, {(model, seed): checks that fail})
+ALGEBRA = {"aba_rnea_roundtrip", "aba_vs_cholesky", "crba_columns"}
+FIXTURES = ("two_link", "six_dof")
+ALL_CELLS = [(m, s) for m in FIXTURES for s in (0, 1)]
+# fault: (attributes to patch, models run at seeds 0 and 1,
+#         {(model, seed): checks that fail})
 FAULT_TABLE = {
-    "cross_force*(1+1e-6)": (_scaled(dynamics, "cross_force", 1 + 1e-6), {}),
-    "cross_force*2": (_scaled(dynamics, "cross_force", 2.0), {}),
-    "cross_motion*(1+1e-6)": (_scaled(dynamics, "cross_motion", 1 + 1e-6),
+    "cross_force*(1+1e-6)": (_scaled(dynamics, "cross_force", 1 + 1e-6), FIXTURES, {}),
+    "cross_force*2": (_scaled(dynamics, "cross_force", 2.0), FIXTURES, {}),
+    "cross_motion*(1+1e-6)": (_scaled(dynamics, "cross_motion", 1 + 1e-6), FIXTURES,
                               {("two_link", 1): ENERGY, ("six_dof", 0): ENERGY,
                                ("six_dof", 1): ENERGY}),
-    "cross_motion*(1+1e-3)": (_scaled(dynamics, "cross_motion", 1 + 1e-3),
+    "cross_motion*(1+1e-3)": (_scaled(dynamics, "cross_motion", 1 + 1e-3), FIXTURES,
                               dict.fromkeys(ALL_CELLS, ENERGY)),
     "rtruediv_partial*(1+1e-6)": ([(ad._Scalar, "__rtruediv__",
-                                    _rdiv_scaled_partial(1 + 1e-6))], {}),
+                                    _rdiv_scaled_partial(1 + 1e-6))], FIXTURES, {}),
     "rtruediv_partial*(1+1e-3)": ([(ad._Scalar, "__rtruediv__",
-                                    _rdiv_scaled_partial(1 + 1e-3))], {}),
-    "mul_second_partial*(1+1e-6)": (_mul_fault(1 + 1e-6),
+                                    _rdiv_scaled_partial(1 + 1e-3))], FIXTURES, {}),
+    "mul_second_partial*(1+1e-6)": (_mul_fault(1 + 1e-6), FIXTURES,
                                     {("six_dof", 0): GRADIENT, ("six_dof", 1): GRADIENT}),
-    "mul_second_partial*(1+1e-4)": (_mul_fault(1 + 1e-4), dict.fromkeys(ALL_CELLS, GRADIENT)),
+    "mul_second_partial*(1+1e-4)": (_mul_fault(1 + 1e-4), FIXTURES,
+                                    dict.fromkeys(ALL_CELLS, GRADIENT)),
+    "rigid_product_tau_sign": ([(spatial, "rigid_product", _rigid_product_tau_sign_flipped)],
+                               FIXTURES, dict.fromkeys(ALL_CELLS, ALGEBRA)),
+    "apply_motion_inv_lin_sign": ([(spatial.SpatialTransform, "apply_motion_inv",
+                                    _apply_motion_inv_lin_sign_flipped)], FIXTURES,
+                                  dict.fromkeys(ALL_CELLS, ALGEBRA | ENERGY)),
+    # rotated_tree has two prismatic joints; the fixtures have none
+    "prismatic_subspace_as_revolute": (_prismatic_subspace_as_revolute(), ("rotated_tree",),
+                                       {("rotated_tree", 0): ENERGY,
+                                        ("rotated_tree", 1): ENERGY}),
+    # a consistent change of every model: no self-check sees it, and the
+    # closed-form fixtures catch it (test_parallel_axis_fault_fails_criterion_2)
+    "parallel_axis_term*2": (_scaled(urdf, "parallel_axis_term", 2.0), FIXTURES, {}),
 }
+# each model is built after its row's patches, so that a fault at model build reaches it
+MODELS = {"two_link": lambda: rd.load_model(rd.fixture_path("two_link_planar")),
+          "six_dof": lambda: rd.load_model(rd.fixture_path("six_dof_arm")),
+          "rotated_tree": lambda: rotated_tree(np.random.default_rng(16))}
 
 
 def _fault_witness(model):
@@ -358,14 +407,26 @@ def _fault_witness(model):
 
 
 @pytest.mark.parametrize("fault", FAULT_TABLE)
-def test_fault_table_pins_the_checks_that_fail(fault, two_link, six_dof, monkeypatch):
-    models = {"two_link": two_link, "six_dof": six_dof}
-    patches, cells = FAULT_TABLE[fault]
-    clean = _fault_witness(six_dof)
+def test_fault_table_pins_the_checks_that_fail(fault, monkeypatch):
+    patches, names, cells = FAULT_TABLE[fault]
+    clean = [_fault_witness(MODELS[name]()) for name in names]
     for obj, attr, value in patches:
         monkeypatch.setattr(obj, attr, value)
-    assert _fault_witness(six_dof) != clean  # the fault is live
-    for name, seed in ALL_CELLS:
-        report = selfcheck.run_checks(models[name], seed)
-        failed = {check for check, r in report["checks"].items() if not r["passed"]}
-        assert failed == cells.get((name, seed), set()), (name, seed)
+    models = {name: MODELS[name]() for name in names}
+    for name, witness in zip(names, clean):
+        assert _fault_witness(models[name]) != witness, name   # the fault is live
+    for name in names:
+        for seed in (0, 1):
+            report = selfcheck.run_checks(models[name], seed)
+            failed = {check for check, r in report["checks"].items() if not r["passed"]}
+            assert failed == cells.get((name, seed), set()), (name, seed)
+
+
+def test_parallel_axis_fault_fails_criterion_2(monkeypatch):
+    for obj, attr, value in FAULT_TABLE["parallel_axis_term*2"][0]:
+        monkeypatch.setattr(obj, attr, value)
+    pendulum = rd.load_model(rd.fixture_path("pendulum"))
+    two_link = rd.load_model(rd.fixture_path("two_link_planar"))
+    quiet = SimpleNamespace(disabled=contextlib.nullcontext)   # keeps its verdict captured
+    with pytest.raises(AssertionError, match="closed-form fixtures"):
+        test_acceptance.test_criterion_2_closed_form_fixtures(quiet, pendulum, two_link)
