@@ -7,6 +7,9 @@ Two scalar flavours are provided:
   of a batch.  Used for Jacobians of vector functions with few inputs.
 * ``Var`` -- reverse mode; every operation appends a node to a ``Tape`` and
   a single backward sweep yields the gradient of a scalar output.
+  ``gradient`` and ``jacobian_rev`` release the tape they record before they
+  return, so reference counting frees it, as PyTorch frees a graph after
+  ``backward``; a ``Tape`` built by hand is its caller's to release.
 
 A third, ``tracing.Traced``, records float operations for a straight-line
 kernel; it shares ``_Scalar`` and the elementary functions below.
@@ -190,7 +193,13 @@ class _Scalar:
 # ---------------------------------------------------------------------------
 
 class Tape:
-    """Append-only record of elementary operations, in evaluation order."""
+    """Append-only record of elementary operations, in evaluation order.
+
+    Every node refers back to its tape, so a tape is a reference cycle that
+    only the cyclic collector frees, until ``release`` cuts those references.
+    A released tape keeps its ``nodes``, but they can record no further
+    operation.
+    """
 
     __slots__ = ("nodes",)
 
@@ -201,6 +210,10 @@ class Tape:
         v = Var(self, val, op, parents)
         self.nodes.append(v)
         return v
+
+    def release(self):
+        for node in self.nodes:
+            node.tape = None
 
 
 class Var(_Scalar):
@@ -255,6 +268,8 @@ def backward(y):
                     g = _selected(partial, a, g)
                     if not isinstance(parent.value, np.ndarray):
                         g = float(g.sum())  # un-broadcast onto a scalar parent
+                elif g != g and a == 0.0:
+                    g = 0.0  # NaN from a zero adjoint: cut off, as _selected does
                 parent.adj = g if parent.adj is None else parent.adj + g
 
 
@@ -267,7 +282,7 @@ def _raise_first_nonfinite(tape):
 
 def _inputs(x):
     tape = Tape()
-    return [tape.var(float(xi)) for xi in x]
+    return tape, [tape.var(float(xi)) for xi in x]
 
 
 def _adjoints(xs, y):
@@ -284,18 +299,27 @@ def gradient(f, x):
     """Gradient of scalar-valued ``f`` at ``x`` via one reverse sweep.
 
     ``f`` receives a list of ``Var`` and must return a ``Var`` (or a plain
-    constant, in which case the gradient is zero).
+    constant, in which case the gradient is zero).  The tape is released on
+    return, also when ``f`` raises: a ``Var`` that ``f`` keeps can record
+    nothing more.
     """
-    xs = _inputs(x)
-    return _adjoints(xs, f(xs))
+    tape, xs = _inputs(x)
+    try:
+        return _adjoints(xs, f(xs))
+    finally:
+        tape.release()
 
 
 def jacobian_rev(f, x):
     """Jacobian of vector-valued ``f`` at ``x``: ``f`` is recorded on one tape,
     then one reverse sweep per output gives that output's row, equal to
-    ``gradient`` of the output alone."""
-    xs = _inputs(x)
-    return np.array([_adjoints(xs, y) for y in f(xs)])
+    ``gradient`` of the output alone.  The tape is released on return, as in
+    ``gradient``."""
+    tape, xs = _inputs(x)
+    try:
+        return np.array([_adjoints(xs, y) for y in f(xs)])
+    finally:
+        tape.release()
 
 
 # ---------------------------------------------------------------------------

@@ -317,9 +317,14 @@ def _cholesky_solve(M, b, n):
 
 def forward_dynamics_cholesky(model, q, qd, tau, gravity=None):
     """Forward dynamics via M(q) qdd = tau - bias: the independent check route."""
+    _check_len("tau", tau, model.n)
+    return _cholesky_forward(model, mass_matrix(model, q), q, qd, tau, gravity=gravity)
+
+
+def _cholesky_forward(model, M, q, qd, tau, gravity=None):
+    """The solve of ``forward_dynamics_cholesky`` with the mass matrix ``M``
+    given, for a caller that already holds it."""
     n = model.n
-    _check_len("tau", tau, n)
-    M = mass_matrix(model, q)
     h = bias_force(model, q, qd, gravity=gravity)
     rhs = [tau[i] - h[i] for i in range(n)]
     return _cholesky_solve(M, rhs, n)

@@ -15,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from . import autodiff as ad
-from .dynamics import NonFiniteStateError, aba, forward_dynamics_cholesky, mass_matrix, \
-    rnea, simulate, total_energy
+from .dynamics import NonFiniteStateError, _cholesky_forward, aba, mass_matrix, rnea, \
+    simulate, total_energy
 from .kinematics import forward_kinematics, link_jacobian
 
 
@@ -109,8 +109,11 @@ def check_crba_columns(sample):
 
 
 def check_aba_vs_cholesky(sample):
-    return _worst(_rel_inf(sample.qdd, forward_dynamics_cholesky(
-        sample.model, list(sample.q), list(sample.qd), list(sample.tau))))
+    """``aba`` against ``forward_dynamics_cholesky``'s solve, on the sample's
+    mass matrices."""
+    return _worst(_rel_inf(sample.qdd, _cholesky_forward(
+        sample.model, np.moveaxis(sample.M, 0, -1), list(sample.q), list(sample.qd),
+        list(sample.tau))))
 
 
 def check_mass_matrix_symmetry(sample):

@@ -1,5 +1,7 @@
 """Shared fixtures: the bundled robot models, loaded once per session."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ def random_state(model, rng, scale=1.0):
     qd = rng.uniform(-scale, scale, size=model.n)
     tau = rng.uniform(-scale, scale, size=model.n)
     return q, qd, tau
+
+
+def cyclic_garbage(fn):
+    """Objects the cyclic collector finds after ``fn()`` runs with automatic
+    collection off: 0 when reference counting freed everything ``fn`` dropped."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def spy_kernel(f, *sizes):

@@ -241,6 +241,21 @@ def test_jacobian_fwd_keeps_a_non_finite_partial_of_floats(fn):
     np.testing.assert_array_equal(J, [[np.inf, np.nan]])
 
 
+def test_backward_cuts_off_a_nan_edge_of_floats_where_the_adjoint_is_zero():
+    # the float sqrt node at 0 has an infinite partial; its adjoint is 0
+    # (the output is times 0.0), so inf * 0 must contribute 0, as in forward
+    B = np.array([1.0, 2.0])
+    f = lambda xs: ad.asum((ad.sqrt(xs[0] * xs[1]) * B) * 0.0)
+    assert ad.gradient(f, [0.0, 2.0]).tolist() == [0.0, 0.0]
+    assert ad.jacobian_fwd(lambda xs: [f(xs)], [0.0, 2.0]).tolist() == [[0.0, 0.0]]
+    # a zero partial (d(x*y)/dy = x = 0) times an infinite adjoint stays NaN,
+    # as forward mode keeps the NaN of a float's partials (above)
+    g = lambda xs: ad.sqrt(xs[0] * xs[1])
+    np.testing.assert_array_equal(ad.gradient(g, [0.0, 2.0]), [np.inf, np.nan])
+    np.testing.assert_array_equal(ad.jacobian_fwd(lambda xs: [g(xs)], [0.0, 2.0]),
+                                  [[np.inf, np.nan]])
+
+
 def test_dual_masks_only_batch_rows_whose_product_holds_a_nan():
     # -2 * row: a NaN row's zero-factor element is cut off to +0, as
     # _selected does; a NaN-free row, and the partials of a float, keep -0

@@ -62,3 +62,16 @@ def test_tracer_wraps_names_that_resolve_and_uninstall_restores_them(layers):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tracer_counts_the_nodes_of_a_released_tape(layers):
+    # gradient releases its tape on return; the tracer reads the node list
+    # after that, so the release must leave the list whole
+    from robotdyn import autodiff
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        assert autodiff.gradient(lambda xs: xs[0] * xs[1], [2.0, 3.0]).tolist() == [3.0, 2.0]
+    finally:
+        tracer.uninstall()
+    assert tracer.tape_nodes == {"var": [3]}
