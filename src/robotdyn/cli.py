@@ -11,6 +11,7 @@ go to stderr.  Exit codes: 0 success, 1 runtime/numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -396,10 +397,13 @@ COMMANDS = {
 }
 
 
+# built on first use, not at import, and kept: a parser is a web of reference cycles
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -261,7 +261,7 @@ def aba(model, q, qd, tau, gravity=None):
         d = S.dot(U[i])
         A, D = IA[i].A, IA[i].D  # a valid d is at most trace(A) + trace(D)
         size = sum(ad.value(x) for x in (A.a, A.e, A.i, D.a, D.e, D.i))
-        singular = ad.value(d) <= 1e-12 * size
+        singular = ad.value(d) <= 1e-12 * abs(size)  # size < 0 on indefinite inertias
         if np.any(singular):
             raise DynamicsError(
                 f"singular articulated projection at joint '{body.joint_name}' "

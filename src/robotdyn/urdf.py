@@ -413,24 +413,22 @@ def build_model(desc, kinematics_only=False):
     for j in desc.joints:
         children.setdefault(j.parent, []).append(j)
 
-    bodies = []
-    links = []
-
-    def add_link(link_name, body, offset):
-        links.append(Link(link_name, body, offset))
-        for joint in children.get(link_name, []):
-            X = xform_from_rpy_xyz(Vec3.fromlist(joint.origin_rpy),
-                                   Vec3.fromlist(joint.origin_xyz))
-            if offset is not None:
-                X = offset.compose(X)
-            inertial = urdf_links[joint.child].inertial
-            if joint.type == "fixed":
-                if inertial is not None and body >= 0 \
-                        and bodies[body].inertia is not None:
-                    bodies[body].inertia = bodies[body].inertia \
-                        + _fold_inertial(inertial).transform(X)
-                add_link(joint.child, body, X)
-                continue
+    # depth-first, each joint's subtree before its next sibling: (joint, body
+    # the joint's parent link moves with, offset of that link in the body)
+    bodies, links = [], [Link(root, -1, None)]
+    stack = [(j, -1, None) for j in reversed(children.get(root, []))]
+    while stack:
+        joint, body, offset = stack.pop()
+        X = xform_from_rpy_xyz(Vec3.fromlist(joint.origin_rpy), Vec3.fromlist(joint.origin_xyz))
+        if offset is not None:
+            X = offset.compose(X)
+        inertial = urdf_links[joint.child].inertial
+        if joint.type == "fixed":
+            if inertial is not None and body >= 0 and bodies[body].inertia is not None:
+                bodies[body].inertia = bodies[body].inertia \
+                    + _fold_inertial(inertial).transform(X)
+            offset = X
+        else:
             if inertial is not None:
                 inertia = _fold_inertial(inertial)
             elif kinematics_only:
@@ -440,9 +438,9 @@ def build_model(desc, kinematics_only=False):
                     f"link '{joint.child}' is moved by joint '{joint.name}' but has "
                     f"no inertial data; build with kinematics_only=True for FK-only use")
             bodies.append(Body(joint.child, body, joint, X, inertia))
-            add_link(joint.child, len(bodies) - 1, None)
-
-    add_link(root, -1, None)
+            body, offset = len(bodies) - 1, None
+        links.append(Link(joint.child, body, offset))
+        stack.extend((j, body, offset) for j in reversed(children.get(joint.child, [])))
     return RobotModel(desc.name, bodies, links, kinematics_only)
 
 

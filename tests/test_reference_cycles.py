@@ -4,10 +4,15 @@ are the case that needs care: every ``Var`` refers back to its ``Tape``,
 which lists every ``Var``, until ``gradient`` or ``jacobian_rev`` releases
 the tape on return."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+import robotdyn as rd
 from robotdyn import autodiff as ad
+from robotdyn import cli
 from robotdyn.dynamics import rnea, simulate
 from robotdyn.kinematics import forward_kinematics, inverse_kinematics
 from robotdyn.learn import fit, generate_dataset, loss_gradient, make_learnable
@@ -54,6 +59,7 @@ CASES = {
     "loss_gradient": lambda m: loss_gradient(*_learning(m)),
     "fit": lambda m: fit(*_learning(m)[:2], epochs=5),
     "simulate": lambda m: simulate(m, np.zeros(m.n), np.full(m.n, 0.5), None, 1e-3, 20),
+    "load_model": lambda m: rd.load_model(rd.fixture_path("six_dof_arm")),
 }
 
 
@@ -67,3 +73,15 @@ def test_ik_on_a_traced_kernel_leaves_no_cyclic_garbage(six_dof):
     inverse_kinematics(six_dof, target, "tool", [0.0] * six_dof.n)   # traces the kernel
     assert cyclic_garbage(lambda: inverse_kinematics(six_dof, target.position, "tool",
                                                      [0.1] * six_dof.n)) == 0
+
+
+def test_cli_check_unit_leaves_no_cyclic_garbage():
+    # one `robot check` unit in process, as a benchmark runs them; the first
+    # call builds the argument parser, which then lives as long as the process
+    def unit(seed):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["check", rd.fixture_path("six_dof_arm"), "--seed", str(seed),
+                             "--format", "json"]) == 0
+
+    unit(0)
+    assert cyclic_garbage(lambda: unit(1)) == 0

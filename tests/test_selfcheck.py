@@ -18,7 +18,7 @@ from hypothesis import given, settings
 
 import robotdyn as rd
 from robotdyn import autodiff as ad
-from robotdyn import dynamics, selfcheck, spatial, urdf
+from robotdyn import cli, dynamics, kinematics, selfcheck, spatial, urdf
 from robotdyn.dynamics import aba, forward_dynamics_cholesky, mass_matrix, rnea
 from robotdyn.kinematics import forward_kinematics, link_jacobian
 from robotdyn.spatial import ForceVector, MotionVector, Vec3
@@ -73,26 +73,6 @@ def _ref_aba_vs_cholesky(model, rng, n_states):
     return err
 
 
-def _ref_mass_matrix_symmetry(model, rng, n_states):
-    err = 0.0
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        M = np.asarray(mass_matrix(model, list(q)))
-        err = max(err, float(np.max(np.abs(M - M.T))) / _mass_scale(M))
-    return err
-
-
-def _ref_mass_matrix_pd(model, rng, n_states):
-    for _ in range(n_states):
-        q, _, _ = _random_state(model, rng)
-        M = np.asarray(mass_matrix(model, list(q)))
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            return 1.0
-    return 0.0
-
-
 def _ref_jacobian_fd(model, rng, n_states, step=1e-6):
     link = model.link_names()[-1]
     err = 0.0
@@ -143,8 +123,6 @@ REFERENCES = {
     "aba_rnea_roundtrip": _ref_aba_rnea_roundtrip,
     "crba_columns": _ref_crba_columns,
     "aba_vs_cholesky": _ref_aba_vs_cholesky,
-    "mass_matrix_symmetry": _ref_mass_matrix_symmetry,
-    "mass_matrix_positive_definite": _ref_mass_matrix_pd,
     "jacobian_vs_finite_difference": _ref_jacobian_fd,
     "gradient_vs_finite_difference": _ref_ad_vs_fd,
 }
@@ -185,17 +163,109 @@ def test_gradient_check_reads_more_states_than_the_others_when_asked(two_link):
     _assert_same_as_reference(two_link, 2, n_states=1, grad_states=2)
 
 
-def test_mass_matrix_pd_reports_an_indefinite_sample():
+def test_check_aborts_on_a_flat_leaf(tmp_path, capsys):
     # a leaf with no rotational inertia about a revolute axis through its CoM
-    # gives a singular mass matrix at every configuration
+    # gives a singular mass matrix at every configuration; aba refuses it
+    # before any check reads the mass matrix
     links = [("base", None), ("l1", (1.0, (0.1, 0.0, 0.0), (0, 0, 0), (0.01, 0.0, 0.0,
                                                                       0.01, 0.0, 0.01))),
              ("l2", (1.0, (0.0, 0.0, 0.0), (0, 0, 0), (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)))]
     joints = [("j1", "continuous", "base", "l1", (0, 0, 0), (0, 0, 0), (0, 0, 1)),
               ("j2", "continuous", "l1", "l2", (0.5, 0, 0), (0, 0, 0), (0, 0, 1))]
-    model = rd.build_model(rd.parse_urdf(urdf_text("flat_leaf", links, joints)))
-    assert selfcheck.check_mass_matrix_pd(selfcheck.Sample(model, 0, 5, 3)) == 1.0
-    assert _ref_mass_matrix_pd(model, np.random.default_rng(0), 5) == 1.0
+    path = tmp_path / "flat_leaf.urdf"
+    path.write_text(urdf_text("flat_leaf", links, joints))
+    assert cli.main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: check aborted: singular articulated projection "
+                                   "at joint 'j2'")
+
+
+# ---------------------------------------------------------------------------
+# aba refuses every mass matrix that is not positive definite
+#
+# robot check has no positive-definiteness check of its own: aba's pivots are
+# those of a factorization of the mass matrix, so it raises on every sample
+# whose mass matrix fails Cholesky, and Sample.qdd runs it first.
+
+
+def _rotation_with_first_column(a, rng):
+    Q, R = np.linalg.qr(np.column_stack([a, rng.normal(size=(3, 2))]))
+    return Q * np.sign(np.diag(R))   # first column +a
+
+
+def _mat33(A):
+    return spatial.Mat33.fromrows(A.tolist())
+
+
+def _random_inertia(rng, eigenvalues):
+    """Mass, CoM and rotational inertia about the body origin, from a
+    rotational inertia about the CoM with the given principal moments."""
+    m, c = rng.uniform(0.1, 2.0), Vec3.fromlist(rng.uniform(-0.5, 0.5, 3).tolist())
+    Q = _rotation_with_first_column(rng.normal(size=3), rng)
+    I_c = _mat33(Q @ np.diag(eigenvalues) @ Q.T)
+    return spatial.SpatialInertia(m, c, I_c + spatial.parallel_axis_term(m, c))
+
+
+def _flat_leaf_inertia(rng, body, kind):
+    """An inertia of a revolute leaf whose articulated pivot, the moment about
+    its axis, is a tiny relative ``t`` (``"near_singular"``), or exactly zero
+    with a negative trace when the axis is a basis vector (``"negative_trace"``)."""
+    a = np.array(body.axis.tolist())
+    if kind == "negative_trace":
+        m, c, moments = 1.0, Vec3.zero(), (0.0, -20.0, -20.0)
+    else:
+        m, c = rng.uniform(0.1, 2.0), Vec3.fromlist(rng.uniform(-0.5, 0.5, 3).tolist())
+        rest = rng.uniform(0.01, 1.0, 2)
+        t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20, -6) * (rest.sum() + 3 * m)
+        moments = (t, *rest)
+    if np.count_nonzero(a) == 1:   # a basis axis: the moments in basis order, exact
+        k = int(np.flatnonzero(a)[0])
+        I_o = np.diag(np.roll(moments, k))
+    else:
+        Q = _rotation_with_first_column(a, rng)
+        I_o = Q @ np.diag(moments) @ Q.T
+    return spatial.SpatialInertia(m, c, _mat33(I_o))
+
+
+def _inertia_variant(model, rng, kind):
+    """``model`` with random inertias of one kind: ``"spd"``, ``"indefinite"``
+    (principal moments of either sign), or SPD inertias with one revolute
+    leaf made flat (see ``_flat_leaf_inertia``)."""
+    moments = (lambda: rng.uniform(-1.0, 1.0, 3)) if kind == "indefinite" \
+        else (lambda: rng.uniform(0.01, 1.0, 3))
+    inertias = [_random_inertia(rng, moments()) for _ in model.bodies]
+    parents = {b.parent for b in model.bodies}
+    leaves = [i for i, b in enumerate(model.bodies)
+              if i not in parents and b.joint_type != "prismatic"]
+    if kind in ("near_singular", "negative_trace") and leaves:
+        i = leaves[rng.integers(len(leaves))]
+        inertias[i] = _flat_leaf_inertia(rng, model.bodies[i], kind)
+    return model.with_inertias(inertias)
+
+
+def test_aba_raises_wherever_the_sampled_mass_matrix_fails_cholesky():
+    rng = np.random.default_rng(31)
+    fixtures = [rd.load_model(rd.fixture_path(name))
+                for name in ("pendulum", "two_link_planar", "six_dof_arm")]
+    rejected = accepted = 0
+    for seed in range(16):
+        for model in fixtures + [rotated_tree(rng)]:
+            for kind in ("spd", "indefinite", "near_singular", "negative_trace"):
+                variant = _inertia_variant(model, rng, kind)
+                sample = selfcheck.Sample(variant, seed, 4, 1)
+                first = [x[:, 0].tolist() for x in (sample.q, sample.qd, sample.tau)]
+                for M, qdd in ((sample.M, lambda: sample.qdd),      # the batch
+                               (sample.M[0], lambda: aba(variant, *first))):  # one float state
+                    try:
+                        np.linalg.cholesky(M)
+                    except np.linalg.LinAlgError:
+                        rejected += 1
+                        with pytest.raises(dynamics.DynamicsError):
+                            qdd()
+                    else:
+                        accepted += 1
+    assert rejected > 100 and accepted > 100, (rejected, accepted)
 
 
 def test_jacobian_check_evaluates_fk_at_most_twice_per_state(six_dof, monkeypatch):
@@ -272,7 +342,7 @@ def _six_dof_scaled(factor):
     return rd.build_model(rd.parse_urdf(text))
 
 
-MASS_MATRIX_CHECKS = ("crba_columns", "mass_matrix_symmetry")
+MASS_MATRIX_CHECKS = ("crba_columns",)
 
 
 @pytest.mark.parametrize("name", MASS_MATRIX_CHECKS)
@@ -331,6 +401,17 @@ def _scaled(module, name, s):
     return [(module, name, lambda *args: fn(*args).scale(s))]
 
 
+def _jacobian_linear_rows_scaled(s):
+    """``kinematics._jacobian`` with its linear rows (3-5) scaled by ``s``."""
+    fn = kinematics._jacobian
+
+    def _jacobian(*args):
+        J = fn(*args)
+        J[3:] *= s
+        return J
+    return [(kinematics, "_jacobian", _jacobian)]
+
+
 def _mul_fault(s):
     return [(ad._Scalar, "__mul__", _mul_scaled_second_partial(s)),
             (ad._Scalar, "__rmul__", _mul_scaled_second_partial(s))]
@@ -361,6 +442,7 @@ def _prismatic_subspace_as_revolute():
 
 
 ENERGY, GRADIENT = {"energy_drift"}, {"gradient_vs_finite_difference"}
+JACOBIAN = {"jacobian_vs_finite_difference"}
 ALGEBRA = {"aba_rnea_roundtrip", "aba_vs_cholesky", "crba_columns"}
 FIXTURES = ("two_link", "six_dof")
 ALL_CELLS = [(m, s) for m in FIXTURES for s in (0, 1)]
@@ -394,6 +476,8 @@ FAULT_TABLE = {
     # a consistent change of every model: no self-check sees it, and the
     # closed-form fixtures catch it (test_parallel_axis_fault_fails_criterion_2)
     "parallel_axis_term*2": (_scaled(urdf, "parallel_axis_term", 2.0), FIXTURES, {}),
+    "jacobian_linear_rows*(1+1e-3)": (_jacobian_linear_rows_scaled(1 + 1e-3), FIXTURES,
+                                      dict.fromkeys(ALL_CELLS, JACOBIAN)),
 }
 # each model is built after its row's patches, so that a fault at model build reaches it
 MODELS = {"two_link": lambda: rd.load_model(rd.fixture_path("two_link_planar")),
@@ -402,12 +486,13 @@ MODELS = {"two_link": lambda: rd.load_model(rd.fixture_path("two_link_planar")),
 
 
 def _fault_witness(model):
-    """Values each fault of the table changes: rnea at a moving state, and the
-    gradients of 1/x and of x*y."""
+    """Values each fault of the table changes: rnea at a moving state, the
+    gradients of 1/x and of x*y, and the last link's Jacobian."""
     n = model.n
     tau = rnea(model, [0.3] * n, [0.7] * n, [0.1] * n)
+    J = link_jacobian(model, [0.3] * n, model.link_names()[-1])
     return (tau, ad.gradient(lambda xs: 1.0 / xs[0], [2.0]).tolist(),
-            ad.gradient(lambda xs: xs[0] * xs[1], [2.0, 3.0]).tolist())
+            ad.gradient(lambda xs: xs[0] * xs[1], [2.0, 3.0]).tolist(), J.tolist())
 
 
 @pytest.mark.parametrize("fault", FAULT_TABLE)
@@ -424,6 +509,13 @@ def test_fault_table_pins_the_checks_that_fail(fault, monkeypatch):
             report = selfcheck.run_checks(models[name], seed)
             failed = {check for check, r in report["checks"].items() if not r["passed"]}
             assert failed == cells.get((name, seed), set()), (name, seed)
+
+
+def test_every_check_catches_a_fault():
+    # a check that no fault of the table fails is a check that cannot fail
+    caught = set().union(*(failed for _, _, cells in FAULT_TABLE.values()
+                           for failed in cells.values()))
+    assert caught == set(CHECK_FNS)
 
 
 def test_parallel_axis_fault_fails_criterion_2(monkeypatch):
