@@ -32,7 +32,7 @@ class IKResult:
     residual: float
     iterations: int
     restarts: int      # random-restart rounds
-    backtracks: int    # step halvings, summed over both line searches
+    backtracks: int    # step halvings of the line search, summed over iterations
     evaluations: int   # pose evaluations (loss at one configuration)
 
 
@@ -142,7 +142,6 @@ def _check_q(model, q):
 # bound on the cosine of the orientation error, so that acos stays differentiable
 _COS_MAX = 1.0 - 1e-12
 POS_TOLERANCE, ROT_TOLERANCE = 1e-5, 1e-4  # IK convergence: position (m), angle (rad)
-_STEP = 0.1  # first step length of the gradient fallback
 
 
 def _pose_loss(model, frame, qs, target_pos, target_rot):
@@ -194,17 +193,18 @@ def _pose_gradient(X, c, J, target_pos, target_rot):
 
 
 def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
-    """IK by damped Gauss-Newton steps, with gradient descent as the fallback,
-    backtracking line searches and limit clamping.
+    """IK by damped Gauss-Newton steps, a backtracking line search and limit
+    clamping, with random restarts.
 
-    One ``search`` halves the step until the loss drops: from 1 along the
-    Gauss-Newton direction, else along the gradient from a persistent step
-    that grows ×1.5 after each accepted gradient step.  The gradient is
-    analytic (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves
-    only as its test oracle.  A stall restarts from the best of five random
-    in-limit configurations, and the best iterate is returned.  The result
-    counts the ``iterations`` that ran, the ``restarts``, the ``backtracks``
-    (step halvings) and the ``evaluations`` of the pose and its loss.
+    Each iteration takes one damped Gauss-Newton direction and halves the step
+    from 1 until the loss drops.  The gradient is analytic
+    (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves only as its
+    test oracle.  A search whose 20 halvings all fail, or five steps in a row
+    that lower the loss by less than 0.1%, restart from the best of five
+    random in-limit configurations, and the best iterate is returned.  The
+    result counts the ``iterations`` that ran, the ``restarts``, the
+    ``backtracks`` (step halvings) and the ``evaluations`` of the pose and its
+    loss.
 
     Each loss and Jacobian read the link pose and chain (``_pose_and_chain``)
     from a straight-line float kernel (``tracing.trace_kernel``), traced on the
@@ -237,9 +237,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     lo, hi = model.joint_limits()
     q = np.minimum(np.maximum(q0, lo), hi)
     damping = 1e-6 * np.eye(model.n)
-    rng = None   # built on the first restart or nudge: most solves draw nothing
-    perturbed = False
-    step = _STEP
+    rng = None   # built on the first restart: most solves draw nothing
     restarts = backtracks = stagnant = evaluations = 0
 
     pose_and_chain = _ik_kernel(model, frame)
@@ -260,47 +258,29 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             H += 2.0 * (J[0:3].T @ J[0:3])
         return np.linalg.solve(H + damping, grad)
 
-    def search(q, ev, direction, s):
-        # the first of q - s·direction, q - s/2·direction, ... (20 tries) that
-        # lowers the loss, as (q, evaluation, s); None if none does
-        nonlocal backtracks
-        for _ in range(20):
-            q_trial = np.minimum(np.maximum(q - s * direction, lo), hi)
-            trial = evaluate(q_trial)
-            if trial[0] < ev[0]:
-                return q_trial, trial, s
-            s *= 0.5
-            backtracks += 1
-        return None
-
     ev = evaluate(q)
     best = (q, ev)
     for it in range(max_iters + 1):   # ends at the number of iterations that ran
         if it == max_iters or converged(ev):
             break
-        if target_rot is not None and ev[2] > np.pi - 1e-3 and not perturbed:
-            # orientation error at the antipode: nudge once to leave the stall
-            rng = rng or random.Random(seed)
-            q = np.minimum(np.maximum(q + np.array([1e-3 * (2.0 * rng.random() - 1.0)
-                                                    for _ in range(model.n)]), lo), hi)
-            ev = evaluate(q)
-            perturbed = True
-            continue
         # the pose and chain of the iterate's loss feed its Jacobian and gradient
         J = _jacobian(model, frame, ev[3])
         grad = _pose_gradient(ev[4], ev[5], J, target_pos, target_rot)
-        found = search(q, ev, newton_direction(J, grad), 1.0)
-        if found is None:
-            found = search(q, ev, grad, step)
-            if found is not None:
-                step = min(found[2] * 1.5, 1e3 * _STEP)
-        if found is not None:
-            loss_before = ev[0]
-            q, ev, _ = found
+        direction, s = newton_direction(J, grad), 1.0
+        for _ in range(20):   # the first of q - d, q - d/2, ... that lowers the loss
+            q_trial = np.minimum(np.maximum(q - s * direction, lo), hi)
+            trial = evaluate(q_trial)
+            lowered = trial[0] < ev[0]
+            if lowered:
+                break
+            s *= 0.5
+            backtracks += 1
+        if lowered:
+            stagnant = stagnant + 1 if ev[0] - trial[0] < 1e-3 * (trial[0] + 1e-30) else 0
+            q, ev = q_trial, trial
             if ev[0] < best[1][0]:
                 best = (q, ev)
-            stagnant = stagnant + 1 if loss_before - ev[0] < 1e-3 * (ev[0] + 1e-30) else 0
-        if found is None or stagnant >= 5:
+        if not lowered or stagnant >= 5:
             # Stalled or grinding at a limit-constrained local minimum:
             # restart from the best of a few random in-limit configurations,
             # keeping the best iterate found so far.
@@ -309,9 +289,7 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
             box = list(zip(np.maximum(lo, -2.0 * np.pi), np.minimum(hi, 2.0 * np.pi)))
             cands = [np.array([rng.uniform(a, b) for a, b in box]) for _ in range(5)]
             q, ev = min(((c, evaluate(c)) for c in cands), key=lambda c: c[1][0])
-            step = _STEP
             stagnant = 0
-            perturbed = False
 
     if ev[0] < best[1][0]:
         best = (q, ev)

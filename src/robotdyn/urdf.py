@@ -92,6 +92,13 @@ def _parse_triple(text, what):
         raise UrdfError(f"bad number in {what}: {e}") from None
 
 
+def _parse_number(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise UrdfError(f"{what} {text!r}") from None
+
+
 def _parse_origin(elem):
     xyz, rpy = (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
     origin = elem.find("origin")
@@ -107,17 +114,14 @@ def _parse_inertial(elem, link_name):
     mass_el = elem.find("mass")
     if mass_el is None or mass_el.get("value") is None:
         raise UrdfError(f"link '{link_name}': inertial without mass value")
-    mass = float(mass_el.get("value"))
+    mass = _parse_number(mass_el.get("value"), f"link '{link_name}': bad mass value")
     xyz, rpy = _parse_origin(elem)
     inertia_el = elem.find("inertia")
     if inertia_el is None:
         vals = (0.0,) * 6
     else:
-        try:
-            vals = tuple(float(inertia_el.get(k, "0"))
-                         for k in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz"))
-        except ValueError as e:
-            raise UrdfError(f"link '{link_name}': bad inertia number: {e}") from None
+        vals = tuple(_parse_number(inertia_el.get(k, "0"), f"link '{link_name}': bad inertia {k}")
+                     for k in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz"))
     return UrdfInertial(mass=mass, origin_xyz=xyz, origin_rpy=rpy, inertia=vals)
 
 
@@ -181,7 +185,8 @@ def parse_urdf(xml_text):
             for attr, fld in (("lower", "limit_lower"), ("upper", "limit_upper"),
                               ("effort", "limit_effort"), ("velocity", "limit_velocity")):
                 if limit_el.get(attr) is not None:
-                    setattr(joint, fld, float(limit_el.get(attr)))
+                    setattr(joint, fld, _parse_number(limit_el.get(attr),
+                                                      f"joint '{name}': bad limit {attr}"))
         if jtype == "continuous":
             joint.limit_lower, joint.limit_upper = -math.inf, math.inf
         desc.joints.append(joint)

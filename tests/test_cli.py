@@ -70,6 +70,19 @@ def test_info_nonfinite_mass_exits_2(capsys, tmp_path):
     assert "nonfinite_value" in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('<mass value="1.0"/>', '<mass value="abc"/>', "link 'bob': bad mass value 'abc'"),
+    ('lower="-6.2831853071795862"', 'lower="x1"', "joint 'pivot': bad limit lower 'x1'"),
+])
+def test_info_bad_number_exits_2_naming_its_owner(capsys, tmp_path, old, new, message):
+    path = tmp_path / "bad_number.urdf"
+    text = Path(fx("pendulum")).read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_info_double_root_exits_2(capsys):
     code, _, err = run_cli(capsys, "info", fx("bad_double_root"))
     assert code == 2

@@ -126,6 +126,18 @@ def test_parse_inertial_without_mass():
         parse_urdf(xml)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ('<mass value="1.0"/>', '<mass value="abc"/>', "link 'arm': bad mass value 'abc'"),
+    ('ixx="0"', 'ixx="1e"', "link 'arm': bad inertia ixx '1e'"),
+    ('lower="-1"', 'lower="x1"', "joint 'j': bad limit lower 'x1'"),
+])
+def test_parse_bad_number_names_its_owner(old, new, message):
+    assert old in MINIMAL
+    with pytest.raises(UrdfError) as exc:
+        parse_urdf(MINIMAL.replace(old, new))
+    assert str(exc.value) == message
+
+
 def test_parse_bad_origin_triple():
     xml = MINIMAL.replace('xyz="1 0 0"', 'xyz="1 0"')
     with pytest.raises(UrdfError):
