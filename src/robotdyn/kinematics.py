@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,11 +166,14 @@ def _pose_error(flat, target_pos, target_rot):
 
 def _ik_kernel(model, frame):
     """``_pose_and_chain`` of ``frame``, a function of ``qs`` compiled by
-    ``tracing.trace_kernel`` on first use and kept on ``model``."""
+    ``tracing.trace_kernel`` on first use and kept on ``model``.  The kernel's
+    fallback reaches ``model`` through a weak reference, so that a dropped
+    model is freed by reference counting."""
     kernels = model._ik_kernels
     if frame.name not in kernels:
         from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
-        kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(model, frame, qs),
+        owner = weakref.ref(model)
+        kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(owner(), frame, qs),
                                            model.n)
     return kernels[frame.name]
 

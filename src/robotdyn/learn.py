@@ -297,7 +297,9 @@ def generate_dataset(model, n_samples, gravity=None, seed=0, noise_std=0.0):
 
     q is uniform in [-π, π], q̇ and q̈ in [-2, 2]; one seed gives one dataset.
     ``noise_std`` (finite, >= 0) adds Gaussian noise to the torque column.
-    A model with no movable joints raises ``ValueError``.
+    A model with no movable joints raises ``ValueError``.  It keeps numpy's
+    ``Generator``, which draws each (n_samples, n) array and the noise in one
+    call, so that every seed's dataset stays byte-identical.
     """
     if model.n == 0:
         raise ValueError(f"model {model.name!r} has no movable joints")

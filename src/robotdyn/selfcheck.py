@@ -15,6 +15,7 @@ on every mass matrix that fails Cholesky).
 
 from __future__ import annotations
 
+import random
 from functools import cached_property
 
 import numpy as np
@@ -25,14 +26,19 @@ from .dynamics import NonFiniteStateError, _cholesky_forward, aba, mass_matrix, 
 from .kinematics import forward_kinematics, link_jacobian
 
 
+def _uniform(rng, lo, hi):
+    """Entry i uniform in [lo[i], hi[i]): one ``rng.random()`` each, in order."""
+    return np.array([a + (b - a) * rng.random() for a, b in zip(lo, hi)])
+
+
 def _random_state(model, rng):
+    """q uniform in the joint limits clipped to [-π, π], then qd, then tau
+    uniform in [-1, 1), drawn from ``rng``, a ``random.Random``."""
     lo, hi = model.joint_limits()
     lo = np.where(np.isfinite(lo), np.maximum(lo, -np.pi), -np.pi)
     hi = np.where(np.isfinite(hi), np.minimum(hi, np.pi), np.pi)
-    q = rng.uniform(lo, hi)
-    qd = rng.uniform(-1.0, 1.0, size=model.n)
-    tau = rng.uniform(-1.0, 1.0, size=model.n)
-    return q, qd, tau
+    lo1, hi1 = [-1.0] * model.n, [1.0] * model.n
+    return _uniform(rng, lo, hi), _uniform(rng, lo1, hi1), _uniform(rng, lo1, hi1)
 
 
 def _worst(errors):
@@ -73,14 +79,14 @@ def _central_columns(x, step):
 
 
 class Sample:
-    """States drawn once from ``default_rng(seed)``: (n, n_states) arrays ``q``,
+    """States drawn once from ``random.Random(seed)``: (n, n_states) arrays ``q``,
     ``qd``, ``tau``, and ``x``, the stacked ``[q; qd; tau]`` of the first
     ``grad_states`` draws.  ``qdd`` (``aba``) and ``M`` (``mass_matrix``) are
     evaluated on first read, so each runs once, where a check first reads it."""
 
     def __init__(self, model, seed, n_states, grad_states):
         self.model, self.seed = model, seed
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         draws = [_random_state(model, rng) for _ in range(max(n_states, grad_states))]
         states = [np.array(x).T.copy() for x in zip(*draws)]
         self.q, self.qd, self.tau = (x[:, :n_states] for x in states)
@@ -161,11 +167,12 @@ def check_ad_vs_fd(sample):
 
 def check_energy_drift(sample):
     """Relative energy drift of 300 passive zero-gravity RK4 steps of 1 ms from
-    a start drawn from a fresh ``default_rng(seed)``; NaN when the rollout
-    reaches a non-finite state, as it does when the dynamics return NaN."""
-    model, rng = sample.model, np.random.default_rng(sample.seed)
-    q0 = rng.uniform(-0.5, 0.5, size=model.n)
-    qd0 = rng.uniform(0.5, 1.0, size=model.n)
+    a start drawn from a fresh ``random.Random(seed)``, q0 uniform in [-0.5, 0.5)
+    then qd0 in [0.5, 1); NaN when the rollout reaches a non-finite state, as
+    it does when the dynamics return NaN."""
+    model, rng = sample.model, random.Random(sample.seed)
+    q0 = _uniform(rng, [-0.5] * model.n, [0.5] * model.n)
+    qd0 = _uniform(rng, [0.5] * model.n, [1.0] * model.n)
     g = (0.0, 0.0, 0.0)
     try:
         traj = simulate(model, q0, qd0, None, 1e-3, 300, gravity=g)

@@ -462,6 +462,18 @@ def test_check_six_dof_report_schema(capsys):
     assert list(doc["checks"]) == expected
 
 
+def test_check_never_imports_numpy_random():
+    # `robot check` draws its states from the standard library's generator,
+    # so a fresh process that runs it never loads numpy.random (~6 MB of RSS)
+    script = ("import sys\nfrom robotdyn import cli\n"
+              f"code = cli.main(['check', {fx('six_dof_arm')!r}, '--format', 'json'])\n"
+              "print(code, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_check_bad_inertia_exits_1(capsys):
     code, _, err = run_cli(capsys, "check", fx("bad_inertia"))
     assert code == 1

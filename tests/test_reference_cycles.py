@@ -51,6 +51,13 @@ def _learning(model):
     return store, generate_dataset(model, 40, seed=8), list(store.raw + 0.1)
 
 
+def _ik_on_a_fresh_model():
+    # the model's IK kernel, kept on the model, must not keep the model alive
+    model = rd.load_model(rd.fixture_path("six_dof_arm"))
+    target = forward_kinematics(model, [0.3] * model.n)["tool"]
+    inverse_kinematics(model, target, "tool", [0.0] * model.n)
+
+
 CASES = {
     "run_checks": lambda m: run_checks(m, seed=1),
     "gradient": lambda m: ad.gradient(_rnea_of(m, 2), _state(m)),
@@ -60,6 +67,7 @@ CASES = {
     "fit": lambda m: fit(*_learning(m)[:2], epochs=5),
     "simulate": lambda m: simulate(m, np.zeros(m.n), np.full(m.n, 0.5), None, 1e-3, 20),
     "load_model": lambda m: rd.load_model(rd.fixture_path("six_dof_arm")),
+    "load_model_then_ik": lambda m: _ik_on_a_fresh_model(),
 }
 
 
