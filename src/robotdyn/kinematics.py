@@ -91,47 +91,57 @@ def link_jacobian(model, q, link):
     return _jacobian(model, frame, _pose_and_chain(model, frame, q), batch)
 
 
+def _chain(model, frame):
+    """Indices of the bodies whose joints move ``frame``, from its body to the base."""
+    chain, i = [], frame.body
+    while i >= 0:
+        chain.append(i)
+        i = model.bodies[i].parent
+    return chain
+
+
 def _pose_and_chain(model, frame, qs):
     """The pose of ``frame`` and its chain as one flat list, generic over the
     scalar type of ``qs``: p, R row by row, then the world axis and the world
-    origin of each joint that moves the frame, from its body to the base."""
+    origin of each joint that moves the frame, in ``_chain`` order."""
     world = world_transforms(model, qs)
     X = link_transform(world, frame)
     flat = sum(X.rot.rows(), X.trans.tolist())
-    i = frame.body
-    while i >= 0:
+    for i in _chain(model, frame):
         flat += world[i].rot.matvec(model.bodies[i].axis).tolist() + world[i].trans.tolist()
-        i = model.bodies[i].parent
     return flat
 
 
-def _jacobian(model, frame, flat, batch=None):
-    """``link_jacobian`` of ``frame`` from its ``_pose_and_chain`` list ``flat``
-    at a float configuration or, given the ``batch`` shape, at any scalar type
-    by value.
+def _columns(model, frame, flat):
+    """The geometric Jacobian columns of ``frame``'s chain joints, in ``_chain``
+    order, from its ``_pose_and_chain`` list ``flat``, generic over its scalar
+    type.
 
     With p the link position and a, o the world axis and origin of a chain
     joint, its column is (a, a × (p − o)) for a revolute joint and (0, a) for
     a prismatic one, formed entry by entry with the operations of
     ``Vec3.__sub__`` and ``Vec3.cross``, in their order.
     """
-    J = np.zeros((6, model.n) + (batch or ()))
     px, py, pz = flat[:3]
-    i, k = frame.body, 12
-    while i >= 0:
-        body = model.bodies[i]
-        ax, ay, az, ox, oy, oz = flat[k:k + 6]
-        if body.joint_type == "prismatic":
-            col = (0.0, 0.0, 0.0, ax, ay, az)
+    cols = []
+    for k, i in enumerate(_chain(model, frame)):
+        ax, ay, az, ox, oy, oz = flat[12 + 6 * k:18 + 6 * k]
+        if model.bodies[i].joint_type == "prismatic":
+            cols.append((0.0, 0.0, 0.0, ax, ay, az))
         else:
             rx, ry, rz = px - ox, py - oy, pz - oz
-            col = (ax, ay, az, ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx)
-        if batch is None:
-            J[:, i] = col
-        else:
-            for row, x in enumerate(col):
-                J[row, i] = ad.value(x)
-        i, k = body.parent, k + 6
+            cols.append((ax, ay, az, ay * rz - az * ry, az * rx - ax * rz, ax * ry - ay * rx))
+    return cols
+
+
+def _jacobian(model, frame, flat, batch=None):
+    """``link_jacobian`` of ``frame`` from its ``_pose_and_chain`` list ``flat``
+    at a float configuration or, given the ``batch`` shape, at any scalar type
+    by value: the ``_columns`` of its chain joints, zero elsewhere."""
+    J = np.zeros((6, model.n) + (batch or ()))
+    for i, col in zip(_chain(model, frame), _columns(model, frame, flat)):
+        for row, x in enumerate(col):
+            J[row, i] = ad.value(x)
     return J
 
 
@@ -164,36 +174,84 @@ def _pose_error(flat, target_pos, target_rot):
     return pos_sq + theta * theta, ad.sqrt(pos_sq), theta, flat, X, c
 
 
-def _ik_kernel(model, frame):
-    """``_pose_and_chain`` of ``frame``, a function of ``qs`` compiled by
-    ``tracing.trace_kernel`` on first use and kept on ``model``.  The kernel's
-    fallback reaches ``model`` through a weak reference, so that a dropped
-    model is freed by reference counting."""
+def _kept_kernel(model, key, f, *sizes):
+    """``f(model, *lists)`` compiled by ``tracing.trace_kernel`` on first use
+    and kept on ``model`` under ``key``.  The kernel's fallback reaches
+    ``model`` through a weak reference, so that a dropped model is freed by
+    reference counting."""
     kernels = model._ik_kernels
-    if frame.name not in kernels:
+    if key not in kernels:
         from .tracing import trace_kernel  # on first use: importing robotdyn stays cheap
         owner = weakref.ref(model)
-        kernels[frame.name] = trace_kernel(lambda qs: _pose_and_chain(owner(), frame, qs),
-                                           model.n)
-    return kernels[frame.name]
+        kernels[key] = trace_kernel(lambda *lists: f(owner(), *lists), *sizes)
+    return kernels[key]
 
 
-def _pose_gradient(X, c, J, target_pos, target_rot):
-    """Gradient of ``_pose_loss`` at a float configuration, in closed form from
-    its link pose ``X`` and cosine ``c``, and the geometric Jacobian ``J``.
+def _ik_kernel(model, frame):
+    """``_pose_and_chain`` of ``frame``, a kept kernel of ``qs``."""
+    return _kept_kernel(model, frame.name, lambda m, qs: _pose_and_chain(m, frame, qs), model.n)
 
-    The position term is 2·J_linᵀ(p − p*).  Joint j turns R at the rate
+
+def _gauss_newton_kernel(model, frame, full):
+    """``_gauss_newton`` of ``frame`` for a full-pose (``full``) or a
+    position-only target, a kept kernel of ``(flat, e)``."""
+    return _kept_kernel(model, (frame.name, full),
+                        lambda m, flat, e: _gauss_newton(m, frame, flat, e),
+                        12 + 6 * len(_chain(model, frame)), 7 if full else 3)
+
+
+def _error_terms(X, c, target_pos, target_rot):
+    """The ``e`` of ``_gauss_newton_system`` at a float configuration, from its
+    link pose ``X`` and cosine ``c`` (``_pose_error``): d = p − p*, and for a
+    full pose also w = acos(c)/√(1 − c²), or 0 where the clamp on c is
+    active, and vex(A − Aᵀ) with A = R*·Rᵀ."""
+    e = (X.trans - target_pos).tolist()
+    if target_rot is None:
+        return e
+    A = target_rot.matmat(X.rot.T())
+    w = math.acos(c) / math.sqrt(1.0 - c * c) if -_COS_MAX <= c <= _COS_MAX else 0.0
+    return e + [w, A.h - A.f, A.c - A.g, A.d - A.b]
+
+
+def _dot(u, v):
+    """Σ u_k·v_k from the first product on: a 0.0 start would fold in a trace."""
+    terms = [x * y for x, y in zip(u, v)]
+    return sum(terms[1:], terms[0])
+
+
+def _gauss_newton_system(model, frame, flat, e):
+    """The damped Gauss-Newton system (H, g) of ``_pose_loss`` over ``frame``'s
+    chain joints, in ``_chain`` order, generic over the scalar type of its
+    ``_pose_and_chain`` list ``flat`` and of its ``_error_terms`` ``e``.
+
+    With J the ``_columns``, g is the loss gradient 2·J_linᵀd, minus
+    w·J_angᵀvex(A − Aᵀ) for a full pose: joint j turns R at the rate
     dR/dq_j = [ω_j]×R, so c = (tr(RᵀR*) − 1)/2 changes at ½·ω_j·vex(A − Aᵀ)
-    with A = R*·Rᵀ, and θ² = acos(c)² contributes
-    −θ/√(1 − c²)·J_angᵀ·vex(A − Aᵀ).  That term is zero where the clamp on c
-    is active, as ``ad.minimum``/``ad.maximum`` make the AD gradient.
+    and θ² = acos(c)² at −w·ω_j·vex(A − Aᵀ); w is 0 where the clamp on c is
+    active, as ``ad.minimum``/``ad.maximum`` make the AD gradient.  H is the
+    Gauss-Newton curvature 2·J_linᵀJ_lin (+ 2·J_angᵀJ_ang for a full pose),
+    Tikhonov-damped by 1e-6·I, as nested lists.
     """
-    grad = 2.0 * (J[3:6].T @ np.array((X.trans - target_pos).tolist()))
-    if -_COS_MAX <= c <= _COS_MAX:   # c is 1 for a position-only target
-        A = target_rot.matmat(X.rot.T())
-        vex = np.array([A.h - A.f, A.c - A.g, A.d - A.b])
-        grad -= math.acos(c) / math.sqrt(1.0 - c * c) * (J[0:3].T @ vex)
-    return grad
+    cols = _columns(model, frame, flat)
+    rows = slice(0, 6) if len(e) == 7 else slice(3, 6)
+    g = [2.0 * _dot(col[3:], e[:3]) for col in cols]
+    if len(e) == 7:
+        g = [gj - e[3] * _dot(col[:3], e[4:]) for gj, col in zip(g, cols)]
+    H = [[None] * len(cols) for _ in cols]
+    for i, a in enumerate(cols):
+        for j in range(i + 1):
+            H[i][j] = H[j][i] = 2.0 * _dot(a[rows], cols[j][rows])
+        H[i][i] = H[i][i] + 1e-6
+    return H, g
+
+
+def _gauss_newton(model, frame, flat, e):
+    """The damped Gauss-Newton direction H⁻¹g of ``_gauss_newton_system``, over
+    ``frame``'s chain joints in ``_chain`` order, solved by Cholesky: it raises
+    ``DynamicsError`` where the solve rejects H."""
+    from .dynamics import _cholesky_solve  # dynamics imports this module
+    H, g = _gauss_newton_system(model, frame, flat, e)
+    return _cholesky_solve(H, g, len(g))
 
 
 def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
@@ -202,18 +260,21 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
 
     Each iteration takes one damped Gauss-Newton direction and halves the step
     from 1 until the loss drops.  The gradient is analytic
-    (``_pose_gradient``); reverse-mode AD of ``_pose_loss`` serves only as its
-    test oracle.  A search whose 20 halvings all fail, or five steps in a row
-    that lower the loss by less than 0.1%, restart from the best of five
-    random in-limit configurations, and the best iterate is returned.  The
-    result counts the ``iterations`` that ran, the ``restarts``, the
-    ``backtracks`` (step halvings) and the ``evaluations`` of the pose and its
-    loss.
+    (``_gauss_newton_system``); reverse-mode AD of ``_pose_loss`` serves only
+    as its test oracle.  A search whose 20 halvings all fail, a system that
+    the Cholesky solve rejects, or five steps in a row that lower the loss by
+    less than 0.1%, restart from the best of five random in-limit
+    configurations, and the best iterate is returned.  The result counts the
+    ``iterations`` that ran, the ``restarts``, the ``backtracks`` (step
+    halvings) and the ``evaluations`` of the pose and its loss.
 
-    Each loss and Jacobian read the link pose and chain (``_pose_and_chain``)
-    from a straight-line float kernel (``tracing.trace_kernel``), traced on the
-    first solve for a (model, link), in a few ms for a 6-DoF arm, and kept on
-    the model; every result is the generic code's, bit for bit.
+    Two straight-line float kernels (``tracing.trace_kernel``) do the float
+    work: each loss reads the link pose and chain (``_pose_and_chain``) from
+    one, and each iteration takes its direction, from the Jacobian columns to
+    the solve (``_gauss_newton``), from the other.  They are traced on the
+    first solve for a (model, link) and, for the second, target kind, in a
+    few ms each for a 6-DoF arm, and kept on the model; every result is the
+    generic code's, bit for bit.
 
     ``target`` is a Pose (full-pose IK) or a Vec3 (position only).  A solve
     converges when the position error is below ``POS_TOLERANCE`` and, for a
@@ -238,13 +299,15 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
         if not ok:
             raise ValueError(message)
 
+    from .dynamics import DynamicsError   # dynamics imports this module
     lo, hi = model.joint_limits()
     q = np.minimum(np.maximum(q0, lo), hi)
-    damping = 1e-6 * np.eye(model.n)
     rng = None   # built on the first restart: most solves draw nothing
     restarts = backtracks = stagnant = evaluations = 0
 
     pose_and_chain = _ik_kernel(model, frame)
+    gauss_newton = _gauss_newton_kernel(model, frame, target_rot is not None)
+    chain, direction = _chain(model, frame), np.zeros(model.n)   # 0 off the chain
 
     def evaluate(qv):
         nonlocal evaluations
@@ -254,24 +317,19 @@ def inverse_kinematics(model, target, link, q0, max_iters=500, seed=0):
     def converged(ev):
         return ev[1] < POS_TOLERANCE and (target_rot is None or ev[2] < ROT_TOLERANCE)
 
-    def newton_direction(J, grad):
-        # Gauss-Newton curvature of the squared-error loss from the geometric
-        # Jacobian, Tikhonov-damped so the solve is always well posed.
-        H = 2.0 * (J[3:6].T @ J[3:6])
-        if target_rot is not None:
-            H += 2.0 * (J[0:3].T @ J[0:3])
-        return np.linalg.solve(H + damping, grad)
-
     ev = evaluate(q)
     best = (q, ev)
     for it in range(max_iters + 1):   # ends at the number of iterations that ran
         if it == max_iters or converged(ev):
             break
-        # the pose and chain of the iterate's loss feed its Jacobian and gradient
-        J = _jacobian(model, frame, ev[3])
-        grad = _pose_gradient(ev[4], ev[5], J, target_pos, target_rot)
-        direction, s = newton_direction(J, grad), 1.0
-        for _ in range(20):   # the first of q - d, q - d/2, ... that lowers the loss
+        # the pose and chain of the iterate's loss feed its Gauss-Newton system
+        lowered, s, halvings = False, 1.0, 20
+        e = _error_terms(ev[4], ev[5], target_pos, target_rot)
+        try:
+            direction[chain] = gauss_newton(ev[3], e)
+        except DynamicsError:   # the solve rejected H: restart as a failed search does
+            halvings = 0
+        for _ in range(halvings):   # the first of q - d, q - d/2, ... that lowers the loss
             q_trial = np.minimum(np.maximum(q - s * direction, lo), hi)
             trial = evaluate(q_trial)
             lowered = trial[0] < ev[0]

@@ -9,7 +9,8 @@ plain floats.
 
 ``dynamics.simulate`` imports this module when it first traces ``aba``, and
 ``kinematics.inverse_kinematics`` when it first traces a link's pose and
-Jacobian chain, so importing robotdyn does not compile it.
+Jacobian chain or its Gauss-Newton step, so importing robotdyn does not
+compile it.
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ class Trace:
         self.constants = {}     # name -> plain number
         self._constant_names = {}
         self.folded = {}        # names of the x folded in some x * 0, as dict keys
+        self.folds = 0          # identities folded, of any kind
         self._count = 0
 
     def scalar(self, prefix="t"):
@@ -120,18 +122,20 @@ class Trace:
             raise TraceError(f"cannot trace operation '{op}'")
         if len(operands) == 2:   # a plain-number operand may fold the operation
             x, y = operands
+            fold = None
             if op == "sub" and isinstance(x, _REAL) and x == 0:
-                return -y
-            if op in ("add", "sub", "mul", "div") and isinstance(y, _REAL):
+                fold = -y
+            elif op in ("add", "sub", "mul", "div") and isinstance(y, _REAL):
                 if y == 0 and op in ("add", "sub"):
-                    return x
-                if y == 0 and op == "mul":
+                    fold = x
+                elif y == 0 and op == "mul":
                     self.folded[x.name] = None
-                    return 0.0
-                if y == 1 and op in ("mul", "div"):
-                    return x
-                if y == -1 and op in ("mul", "div"):
-                    return -x
+                    fold = 0.0
+                elif y in (1, -1) and op in ("mul", "div"):
+                    fold = x if y == 1 else -x
+            if fold is not None:
+                self.folds += 1
+                return fold
         names = [self.name(x) for x in operands]   # raises for a foreign operand
         out = self.scalar()
         reads = tuple(n for x, n in zip(operands, names) if isinstance(x, Traced))
@@ -144,11 +148,13 @@ class Trace:
         """``kernel(*lists)`` for the traced ``inputs`` (lists of ``Traced``)
         and ``outputs`` of ``f``; see ``trace_kernel``.
 
-        Dead-code elimination keeps the guards and whatever the outputs and
-        the finiteness test read.  ``_fuse`` then folds each temporary read
-        exactly once, by a later assignment, into the expression that reads
-        it; the outputs, the finiteness sum, the names a guard reads and the
-        names read more than once stay assigned.  This is exact: every IEEE
+        The tail tests the finiteness of the outputs and witness and, if the
+        trace folded an identity, whether an output is zero; either hands the
+        call to ``f``.  Dead-code elimination keeps the guards and whatever
+        the outputs and the finiteness test read.  ``_fuse`` then folds each
+        temporary read exactly once, by a later assignment, into the
+        expression that reads it; the outputs, the finiteness sum, the names
+        a guard reads and the names read more than once stay assigned.  This is exact: every IEEE
         operation still runs once on the same operands, and only their
         schedule changes.  It may change which error a bad input raises
         first, but any error, like a guard, hands the call to ``f``.  The
@@ -167,7 +173,8 @@ class Trace:
         if terms:
             check = sum(terms[1:], terms[0])
             reads.add(check.name)
-            zero = f" or 0.0 in ({', '.join(y.name for y in traced)},)" if traced else ""
+            zero = f" or 0.0 in ({', '.join(y.name for y in traced)},)" \
+                if traced and self.folds else ""
             tail.append(f"if not isfinite({check.name}){zero}: raise _Bail")
         tail.append(f"return [{', '.join(out_names)}]")
 
@@ -301,14 +308,16 @@ def trace_kernel(f, *sizes):
 
     The trace folds ``x + 0``, ``x - 0``, ``x * 1``, ``x / 1`` -> ``x``;
     ``x * -1``, ``x / -1``, ``0 - x`` -> ``-x``; ``x * 0`` -> ``0``.  All are
-    exact up to the sign of a zero, so a zero output goes to ``f``; and
-    ``x * 0`` is exact for finite ``x`` only, so one finiteness test of the
-    sum of the outputs and of the *witness* (the folded ``x`` whose non-finite
-    value would reach no output) sends every non-finite case to ``f``.  So
-    does a call on which the float arithmetic raises, or a list of the wrong
-    length.  ``np.any`` of a traced comparison is a guard: the trace takes it
-    as false and the call goes to ``f`` when it holds, so an error branch such
-    as ``if np.any(singular): raise ...`` raises on plain floats.
+    exact up to the sign of a zero, so once a trace folded any, a zero output
+    goes to ``f``; a trace that folded none runs exactly ``f``'s IEEE
+    operations and answers its zeros itself.  ``x * 0`` is exact for finite
+    ``x`` only, so one finiteness test of the sum of the outputs and of the
+    *witness* (the folded ``x`` whose non-finite value would reach no output)
+    sends every non-finite case to ``f``.  So does a call on which the float
+    arithmetic raises, or a list of the wrong length.  ``np.any`` of a traced
+    comparison is a guard: the trace takes it as false and the call goes to
+    ``f`` when it holds, so an error branch such as
+    ``if np.any(singular): raise ...`` raises on plain floats.
 
     Any other branch on a traced value, or an operand that is not a plain
     number, makes the trace raise ``TraceError``.  Whatever the trace raises,

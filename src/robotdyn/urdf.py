@@ -343,7 +343,7 @@ class RobotModel:
         self.kinematics_only = kinematics_only
         self.n = len(bodies)
         self._link_by_name = {l.name: l for l in links}
-        self._ik_kernels = {}  # link name -> IK kernel derived from the tree
+        self._ik_kernels = {}  # IK kernels: link name -> pose, (name, full) -> step
 
     def link(self, link_name):
         try:

@@ -251,3 +251,23 @@ def test_fused_expressions_stay_within_the_nesting_bound():
     chain_kernel, chain_fallbacks = spy_kernel(chain, 3)
     assert chain_kernel(args) == chain(args)
     assert fallbacks == chain_fallbacks == []
+
+
+def test_a_fold_free_trace_answers_its_zero_outputs_itself():
+    # no identity was folded, so the kernel runs exactly f's IEEE operations,
+    # the sign of every zero included
+    kernel, fallbacks = spy_kernel(lambda x: [x[0] - x[1], x[0] * x[1]], 2)
+    for x, want in (([0.5, 0.5], [0.0, 0.25]), ([-0.0, 0.0], [-0.0, -0.0]),
+                    ([0.0, 3.0], [-3.0, 0.0])):
+        assert_identical(kernel(x), want)
+    assert fallbacks == []
+
+
+def test_a_trace_that_folded_hands_its_zero_outputs_to_f():
+    # x + 0 folds to x: the kernel's -0.0 would be f's +0.0
+    kernel, fallbacks = spy_kernel(lambda x: [(x[0] - x[1]) + 0.0, x[0] * x[1]], 2)
+    assert_identical(kernel([0.5, 0.25]), [0.25, 0.125])
+    assert fallbacks == []
+    for x in ([0.5, 0.5], [-0.0, 0.0]):
+        assert_identical(kernel(x), [x[0] - x[1] + 0.0, x[0] * x[1]])
+    assert fallbacks == [([0.5, 0.5],), ([-0.0, 0.0],)]

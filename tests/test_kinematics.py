@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +11,15 @@ import pytest
 import robotdyn as rd
 from robotdyn import autodiff as ad
 from robotdyn import kinematics, tracing
-from robotdyn.dynamics import aba
+from robotdyn.dynamics import DynamicsError, aba
 from robotdyn.kinematics import (
     _COS_MAX,
     Pose,
+    _chain,
+    _error_terms,
+    _gauss_newton_system,
     _jacobian,
     _pose_and_chain,
-    _pose_gradient,
     _pose_loss,
     forward_kinematics,
     inverse_kinematics,
@@ -201,12 +204,23 @@ def test_jacobian_equals_the_spatial_algebra_reference_bit_for_bit(name):
 # inverse kinematics
 
 
-def ik_gradients(model, link, q, target_pos, target_rot):
-    """The analytic IK gradient at ``q`` and its oracle, reverse-mode AD of
-    the pose loss."""
+def gauss_newton_system(model, link, q, target_pos, target_rot):
+    """The IK loss's Gauss-Newton system (H, g) at the float ``q``, over the
+    link's chain joints in ``_chain`` order, as numpy arrays."""
     frame = model.link(link)
     ev = _pose_loss(model, frame, list(q), target_pos, target_rot)
-    g = _pose_gradient(ev[4], ev[5], _jacobian(model, frame, ev[3]), target_pos, target_rot)
+    H, g = _gauss_newton_system(model, frame, ev[3],
+                                _error_terms(ev[4], ev[5], target_pos, target_rot))
+    return np.array(H), np.array(g)
+
+
+def ik_gradients(model, link, q, target_pos, target_rot):
+    """The analytic IK gradient at ``q``, the Gauss-Newton system's g with 0
+    for every joint off the chain, and its oracle, reverse-mode AD of the pose
+    loss."""
+    frame = model.link(link)
+    g = np.zeros(model.n)
+    g[_chain(model, frame)] = gauss_newton_system(model, link, q, target_pos, target_rot)[1]
     g_ad = ad.gradient(lambda qs: _pose_loss(model, frame, qs, target_pos, target_rot)[0],
                        list(q))
     return g, np.array(g_ad)
@@ -242,6 +256,25 @@ def test_ik_gradient_orientation_term_is_zero_where_the_clamp_is_active(six_dof)
     assert np.any(pos_only != 0.0)
     assert full.tobytes() == pos_only.tobytes()
     np.testing.assert_allclose(full, full_ad, rtol=0, atol=1e-12 * np.max(np.abs(full_ad)))
+
+
+@pytest.mark.parametrize("name", ["two_link_planar", "six_dof_arm"])
+def test_gauss_newton_curvature_equals_the_damped_jacobian_product(name):
+    # H = 2·J_selᵀJ_sel + 1e-6·I over the chain, with J from link_jacobian:
+    # its linear rows for a position-only target, all six for a full pose
+    model = rd.load_model(rd.fixture_path(name))
+    rng = np.random.default_rng(9)
+    for link in model.link_names()[1:]:
+        chain = _chain(model, model.link(link))
+        for _ in range(10):
+            q = rng.uniform(-np.pi, np.pi, model.n)
+            target = forward_kinematics(model, list(rng.uniform(-np.pi, np.pi, model.n)))[link]
+            J = link_jacobian(model, list(q), link)[:, chain]
+            for rows, target_rot in ((slice(0, 6), target.rotation), (slice(3, 6), None)):
+                H, _ = gauss_newton_system(model, link, q, target.position, target_rot)
+                want = 2.0 * J[rows].T @ J[rows] + 1e-6 * np.eye(len(chain))
+                assert np.array_equal(H, H.T)
+                np.testing.assert_allclose(H, want, rtol=0, atol=1e-14 * np.max(want))
 
 
 def test_ik_fixed_point_returns_immediately(two_link):
@@ -395,12 +428,30 @@ def test_ik_accepts_the_edges_of_its_input_domain(two_link):
     assert (res.iterations, res.converged) == (0, False)
 
 
+def counted_gauss_newton(monkeypatch):
+    """The calls of the Gauss-Newton kernels IK takes from now on."""
+    calls, kernel_of = [], kinematics._gauss_newton_kernel
+
+    def counted_kernel(model, frame, full):
+        kernel = kernel_of(model, frame, full)
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+        return counted
+    monkeypatch.setattr(kinematics, "_gauss_newton_kernel", counted_kernel)
+    return calls
+
+
 def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
         six_dof, monkeypatch):
     # each loss takes its link pose from one kernel call: compiled, or else
-    # handed to one _pose_and_chain, which composes it with one link_transform
-    calls = dict.fromkeys(("_pose_error", "_pose_and_chain", "link_transform", "_jacobian"), 0)
+    # handed to one _pose_and_chain, which composes it with one link_transform;
+    # each iteration takes its Jacobian columns, gradient and direction from
+    # one call of the Gauss-Newton kernel
+    calls = dict.fromkeys(("_pose_error", "_pose_and_chain", "link_transform"), 0)
     kernel, results = kinematics._ik_kernel(six_dof, six_dof.link("tool")), []
+    steps = counted_gauss_newton(monkeypatch)
 
     def counted(name):
         fn = getattr(kinematics, name)
@@ -420,7 +471,7 @@ def test_ik_composes_the_link_pose_once_per_loss_and_one_jacobian_per_iteration(
     monkeypatch.setattr(kinematics, "_ik_kernel", lambda model, frame: counted_kernel)
     res = inverse_kinematics(six_dof, target, "tool", q0=[0.0] * 6, seed=0)
     assert res.converged and res.restarts == 0 and res.iterations >= 3
-    assert calls["_jacobian"] == res.iterations
+    assert len(steps) == res.iterations
     assert calls["_pose_error"] == len(results)
     # the start q0 = 0 has exact zeros in its pose, so the generic code runs there
     assert calls["link_transform"] == calls["_pose_and_chain"] >= 1
@@ -457,18 +508,30 @@ def test_ik_with_its_kernel_equals_ik_without_it(monkeypatch):
     got = solve_all(models[0], targets)
     monkeypatch.setattr(tracing.Trace, "compile", no_compile)
     want = solve_all(models[1], targets)
-    assert models[0]._ik_kernels["tool"].__code__.co_filename == "<kernel>"
-    assert models[1]._ik_kernels["tool"].__code__.co_filename != "<kernel>"
+    for key in ("tool", ("tool", True), ("tool", False)):
+        assert models[0]._ik_kernels[key].__code__.co_filename == "<kernel>"
+        assert models[1]._ik_kernels[key].__code__.co_filename != "<kernel>"
     assert got == want
 
 
-def test_ik_equals_ik_on_the_spatial_algebra_jacobian(six_dof, monkeypatch):
-    # the Jacobian's scalar column formula against the MotionVector columns
-    # it replaced, through whole solves: every IKResult field, bit for bit
-    targets = six_dof_targets(six_dof, 22)
-    got = solve_all(six_dof, targets)
-    monkeypatch.setattr(kinematics, "_jacobian", reference_jacobian)
-    assert solve_all(six_dof, targets) == got
+def test_ik_equals_ik_on_the_spatial_algebra_jacobian(monkeypatch):
+    # the Gauss-Newton system's scalar column formula, compiled, against the
+    # MotionVector columns of reference_jacobian, run generically, through
+    # whole solves: every IKResult field, bit for bit
+    models = [rd.load_model(rd.fixture_path("six_dof_arm")) for _ in range(2)]
+    targets = six_dof_targets(models[0], 22)
+    got = solve_all(models[0], targets)
+
+    def reference_columns(model, frame, flat):
+        J = reference_jacobian(model, frame, flat)
+        return [tuple(J[:, i]) for i in _chain(model, frame)]
+
+    def no_compile(*args):
+        raise RuntimeError("the trace failed")
+
+    monkeypatch.setattr(kinematics, "_columns", reference_columns)
+    monkeypatch.setattr(tracing.Trace, "compile", no_compile)
+    assert solve_all(models[1], targets) == got
     assert any(restarts > 0 for *_, restarts, _, _ in got)
 
 
@@ -509,21 +572,69 @@ def test_ik_converges_on_full_pose_targets(six_dof):
     assert failed <= 3
 
 
+def spy_gauss_newton(monkeypatch):
+    """The outcome of each call of ``_gauss_newton`` from now on, on a model
+    whose Gauss-Newton kernels are not yet built: a trace or a fallback."""
+    outcomes, gauss_newton = [], kinematics._gauss_newton
+
+    def spied(*args):
+        try:
+            outcomes.append(gauss_newton(*args))
+        except DynamicsError as e:
+            outcomes.append(e)
+            raise
+        return outcomes[-1]
+    monkeypatch.setattr(kinematics, "_gauss_newton", spied)
+    return outcomes
+
+
+def test_ik_restarts_where_the_solve_rejects_the_gauss_newton_system(monkeypatch):
+    # lengths scaled by 2^20: the 1e-6 damping is below the rounding of H, so
+    # the Cholesky solve rejects a singular H; the solve restarts as after a
+    # failed search, and no exception escapes
+    with open(rd.fixture_path("six_dof_arm"), encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r'<origin xyz="([^"]*)"', lambda m: '<origin xyz="%s"' % " ".join(
+        repr(float(x) * 2.0 ** 20) for x in m.group(1).split()), text)
+    model = rd.build_model(rd.parse_urdf(text))
+    outcomes = spy_gauss_newton(monkeypatch)
+    results = [inverse_kinematics(model, t, "tool", q0=[0.0] * 6, seed=j)
+               for j, t in enumerate(six_dof_targets(model, 5, count=40))]
+    rejected = sum(isinstance(x, DynamicsError) for x in outcomes)
+    assert rejected >= 10
+    assert sum(r.restarts for r in results) >= rejected
+    assert all(np.isfinite(r.q).all() and math.isfinite(r.residual) for r in results)
+    assert any(r.converged for r in results)
+
+
+def test_gauss_newton_kernels_run_their_generic_function_only_to_trace(monkeypatch):
+    # full-pose and position-only tool targets, and position-only targets of
+    # link6, whose frame lies on its own joint's axis: that joint's column
+    # and direction are exact zeros, which the fold-free kernel answers itself
+    model = rd.load_model(rd.fixture_path("six_dof_arm"))
+    outcomes = spy_gauss_newton(monkeypatch)
+    lo, hi = model.joint_limits()
+    rng = np.random.default_rng(24)
+    iterations = 0
+    for link, targets in (("tool", six_dof_targets(model, 24)),
+                          ("link6", [forward_kinematics(model, list(rng.uniform(lo, hi)))[
+                              "link6"].position for _ in range(100)])):
+        for j, t in enumerate(targets):
+            iterations += inverse_kinematics(model, t, link, q0=[0.0] * 6, seed=j).iterations
+    assert len(outcomes) == 3 and iterations > 1000   # the three traces
+    assert set(model._ik_kernels) >= {("tool", True), ("tool", False), ("link6", False)}
+    assert all(model._ik_kernels[key].__code__.co_filename == "<kernel>"
+               for key in (("tool", True), ("tool", False), ("link6", False)))
+
+
 @pytest.mark.parametrize("max_iters", [1, 3])
 def test_ik_counts_every_iteration_of_a_solve_that_runs_to_the_cap(six_dof, monkeypatch,
                                                                      max_iters):
-    jacobians = [0]
-    jacobian = kinematics._jacobian
-
-    def counted(*args, **kwargs):
-        jacobians[0] += 1
-        return jacobian(*args, **kwargs)
-
-    monkeypatch.setattr(kinematics, "_jacobian", counted)
+    steps = counted_gauss_newton(monkeypatch)
     res = inverse_kinematics(six_dof, Vec3(5.0, 0.0, 0.0), "tool", q0=[0.0] * 6,
                              max_iters=max_iters)
     assert not res.converged
-    assert res.iterations == jacobians[0] == max_iters
+    assert res.iterations == len(steps) == max_iters
 
 
 # ---------------------------------------------------------------------------
